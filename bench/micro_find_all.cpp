@@ -1,5 +1,5 @@
 // Microbenchmarks of the position-emitting finding path (ISSUE 3): the
-// find_matches kernel against the counting kernel it extends, across
+// find_matches kernel against count_matches on the same kernels, across
 // (convergence × kernel implementation), plus PatternSet multi-pattern
 // serving of one text.
 //

@@ -54,6 +54,64 @@ bool get_flag(std::string_view image, std::size_t& pos, const char* name) {
   return raw != 0;
 }
 
+[[noreturn]] void malformed_carry(const char* what) {
+  reject(std::string("malformed find carry — ") + what);
+}
+
+/// Appends the find-carry image of `carry` (layout in checkpoint.hpp): its
+/// semantic state only — searcher state, flags, the absolute counters and
+/// the kExact history tail.
+void encode_find_carry(const FindCarry& carry, std::string& out) {
+  put_u32(out, static_cast<std::uint32_t>(carry.state));
+  out.push_back(static_cast<char>(carry.at_start ? 1 : 0));
+  out.push_back(static_cast<char>(carry.died ? 1 : 0));
+  put_u64(out, carry.consumed);
+  put_u64(out, carry.last_sep);
+  put_u64(out, carry.matches);
+  put_u64(out, carry.transitions);
+  put_u64(out, carry.history_base);
+  put_u64(out, carry.history.size());
+  for (const Symbol symbol : carry.history)
+    put_u32(out, static_cast<std::uint32_t>(symbol));
+}
+
+/// Decodes a find-carry image starting at `pos`, advancing `pos` past it.
+/// Fields violating the carry invariants (history covers exactly
+/// [history_base, consumed) when retained; last_sep <= consumed; a fresh
+/// carry has nothing consumed) throw ValidationError — a forged image
+/// surfaces as a typed error, never as an inconsistent session.
+FindCarry decode_find_carry(std::string_view image, std::size_t& pos) {
+  FindCarry carry;
+  carry.state = static_cast<State>(get_u32(image, pos));
+  const std::uint8_t at_start = get_u8(image, pos);
+  const std::uint8_t died = get_u8(image, pos);
+  if (at_start > 1 || died > 1) malformed_carry("flag byte is not 0/1");
+  carry.at_start = at_start != 0;
+  carry.died = died != 0;
+  carry.consumed = get_u64(image, pos);
+  carry.last_sep = get_u64(image, pos);
+  carry.matches = get_u64(image, pos);
+  carry.transitions = get_u64(image, pos);
+  carry.history_base = get_u64(image, pos);
+  const std::uint64_t history_size = get_u64(image, pos);
+  // The length is validated against the REMAINING image before any
+  // allocation — a forged length cannot reserve gigabytes off a short blob.
+  if (history_size > (image.size() - pos) / 4) malformed_carry("truncated history");
+  if (carry.state < kDeadState) malformed_carry("state below the dead sentinel");
+  if (carry.last_sep > carry.consumed) malformed_carry("last_sep past consumed");
+  if (carry.history_base > carry.consumed) malformed_carry("history_base past consumed");
+  if (carry.at_start && (carry.consumed != 0 || carry.died || history_size != 0))
+    malformed_carry("fresh carry with consumed input");
+  // The tail invariant: when retained, history covers [history_base,
+  // consumed) exactly (stream_find_feed maintains it every feed).
+  if (history_size != 0 && carry.history_base + history_size != carry.consumed)
+    malformed_carry("history does not cover [history_base, consumed)");
+  carry.history.reserve(history_size);
+  for (std::uint64_t i = 0; i < history_size; ++i)
+    carry.history.push_back(static_cast<Symbol>(get_u32(image, pos)));
+  return carry;
+}
+
 /// A DFA's full resume-relevant content: shape, initial state, the
 /// final-state bitmap, the transition table and the byte→symbol map.
 /// Shapes alone cannot tell `a` from `b` (identical minimal automata up to

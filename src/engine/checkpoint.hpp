@@ -21,9 +21,12 @@
 //
 //   body (kind = kSingleStream):  u8 at_start | u64 transitions |
 //     u64 windows | u32 nstates | nstates x u32 state | find-carry image
-//     (parallel/match_count.hpp encode_find_carry)
 //   body (kind = kMultiStream):   u64 consumed | u32 npatterns |
 //     npatterns x find-carry image
+//   find-carry image (FindCarry, parallel/match_count.hpp): u32 state |
+//     u8 at_start | u8 died | u64 consumed | u64 last_sep | u64 matches |
+//     u64 transitions | u64 history_base | u64 nhistory |
+//     nhistory x u32 symbol
 //
 // The fingerprint is a checksum64 over the minimal DFA's content (shape,
 // initial state, finals, transition table, byte→symbol map) — canonical for
@@ -36,7 +39,7 @@
 //
 // What a checkpoint does NOT carry: buffered-but-untaken matches (drain
 // take_matches() first — checkpoint() rejects otherwise, so nothing is
-// silently lost) and the speculative-start scratch set (refilled lazily).
+// silently lost).
 // Poisoned sessions cannot checkpoint — their carry is mid-window.
 //
 // Fault-injection sites: "checkpoint.encode" / "checkpoint.decode"

@@ -174,7 +174,7 @@ MultiStreamSession::MultiStreamSession(std::vector<Pattern> patterns,
   const bool exact = options_.begin_mode == BeginMode::kExact;
   states_.reserve(patterns.size());
   for (Pattern& pattern : patterns) {
-    PatternState state{std::move(pattern)};
+    PatternState state{.pattern = std::move(pattern)};
     // Pay the lazy builds at open, never inside a feed (Engine::stream's
     // discipline) — a blow-up pattern trips ResourceExhausted here.
     (void)state.pattern.searcher();

@@ -196,7 +196,7 @@ class MultiStreamSession {
     /// The pattern's cached reverse artifact under kExact (address stable —
     /// it lives in the shared Compiled block); nullptr under kSeparator.
     const ReverseBegins* reverse = nullptr;
-    FindCarry carry;
+    FindCarry carry{};
   };
 
   void feed_merged(std::string_view bytes, const MatchSink& sink);

@@ -1,5 +1,8 @@
 #include "parallel/match_count.hpp"
 
+#include <numeric>
+#include <type_traits>
+
 #include "parallel/chunking.hpp"
 #include "util/simd_gather.hpp"
 #include "util/stopwatch.hpp"
@@ -31,127 +34,6 @@ QueryResult count_matches_serial(const Dfa& dfa, std::span<const Symbol> input) 
 
 namespace {
 
-/// One chunk's counting runs: per start (chunk 1 has a single start, the
-/// initial state; later chunks one per DFA state, indexed by state id), the
-/// end state of the run (kDeadState if it died) and its total hits.
-struct CountChunk {
-  std::vector<State> end;
-  std::vector<std::uint64_t> hits;
-  std::uint64_t transitions = 0;
-};
-
-/// The seed implementation: every start runs independently.
-CountChunk count_chunk_independent(const Dfa& dfa, std::span<const Symbol> span,
-                                   std::span<const State> starts,
-                                   const QueryGovernor* gov) {
-  CountChunk chunk;
-  chunk.end.resize(starts.size());
-  chunk.hits.assign(starts.size(), 0);
-  GovPoll poll(gov);
-  for (std::size_t s = 0; s < starts.size(); ++s) {
-    State state = starts[s];
-    for (const Symbol symbol : span) {
-      poll.step();
-      if (symbol < 0 || symbol >= dfa.num_symbols()) {
-        state = kDeadState;
-        break;
-      }
-      state = dfa.row(state)[symbol];
-      if (state == kDeadState) break;
-      ++chunk.transitions;
-      if (dfa.is_final(state)) ++chunk.hits[s];
-    }
-    chunk.end[s] = state;
-  }
-  return chunk;
-}
-
-/// Run-convergence counting: runs that land in the same state at the same
-/// position share all future hits, so the merged run executes (and counts
-/// transitions) once from the merge point on. Each merged run freezes its
-/// own hit counter and remembers (parent, parent's hits at merge); the
-/// per-start totals are reconstructed through that merge tree at the end —
-/// total(r) = local(r) + (total(parent) - parent_base(r)), because
-/// everything the parent chain accrues after the merge is shared.
-CountChunk count_chunk_convergent(const Dfa& dfa, std::span<const Symbol> span,
-                                  std::span<const State> starts,
-                                  const QueryGovernor* gov) {
-  struct Node {
-    State state;
-    std::uint64_t hits = 0;
-    std::int32_t parent = -1;
-    std::uint64_t parent_base = 0;
-    bool dead = false;
-  };
-  CountChunk chunk;
-  std::vector<Node> nodes(starts.size());
-  std::vector<std::int32_t> active;
-  active.reserve(starts.size());
-  for (std::size_t s = 0; s < starts.size(); ++s) {
-    nodes[s].state = starts[s];  // starts are distinct states — no merges yet
-    active.push_back(static_cast<std::int32_t>(s));
-  }
-
-  std::vector<std::int32_t> owner(static_cast<std::size_t>(dfa.num_states()), -1);
-  std::vector<State> touched;
-  GovPoll poll(gov);
-  for (const Symbol symbol : span) {
-    poll.step();
-    if (active.empty()) break;
-    if (symbol < 0 || symbol >= dfa.num_symbols()) {
-      // Alien symbol: every run dies without the symbol being counted.
-      for (const std::int32_t idx : active)
-        nodes[static_cast<std::size_t>(idx)].dead = true;
-      active.clear();
-      break;
-    }
-    touched.clear();
-    std::size_t write = 0;
-    for (const std::int32_t idx : active) {
-      Node& node = nodes[static_cast<std::size_t>(idx)];
-      const State next = dfa.row(node.state)[symbol];
-      if (next == kDeadState) {
-        node.dead = true;  // the dying symbol is not counted
-        continue;
-      }
-      ++chunk.transitions;
-      node.state = next;
-      if (dfa.is_final(next)) ++node.hits;
-      std::int32_t& claim = owner[static_cast<std::size_t>(next)];
-      if (claim == -1) {
-        claim = idx;
-        touched.push_back(next);
-        active[write++] = idx;
-      } else {
-        // Merge: idx's run is identical to claim's from here on.
-        node.parent = claim;
-        node.parent_base = nodes[static_cast<std::size_t>(claim)].hits;
-      }
-    }
-    active.resize(write);
-    for (const State s : touched) owner[static_cast<std::size_t>(s)] = -1;
-  }
-
-  chunk.end.resize(starts.size());
-  chunk.hits.resize(starts.size());
-  for (std::size_t s = 0; s < starts.size(); ++s) {
-    std::size_t root = s;
-    while (nodes[root].parent != -1) root = static_cast<std::size_t>(nodes[root].parent);
-    chunk.end[s] = nodes[root].dead ? kDeadState : nodes[root].state;
-    std::uint64_t total = nodes[s].hits;
-    std::int32_t parent = nodes[s].parent;
-    std::uint64_t base = nodes[s].parent_base;
-    while (parent != -1) {
-      const Node& up = nodes[static_cast<std::size_t>(parent)];
-      total += up.hits - base;
-      base = up.parent_base;
-      parent = up.parent;
-    }
-    chunk.hits[s] = total;
-  }
-  return chunk;
-}
-
 /// One recorded occurrence of a chunk run: `pos` is the chunk-local end
 /// position (1-based: after consuming `pos` symbols) and `sep` the run's
 /// last separator at that moment — chunk-local, or -1 when the run has not
@@ -162,16 +44,27 @@ struct FindHit {
   std::int64_t sep;
 };
 
-/// One chunk run of the finding kernels. While a run leads (no parent) it
-/// records its own hits and separator tracker; when convergence merges it
-/// into `parent` at `merge_pos`, everything from the parent's hit list at
+/// The hit store of count_matches: the kernels' push_back/size bookkeeping
+/// over a bare counter, so counting runs the finding kernels in O(states)
+/// memory per chunk instead of O(hits).
+struct HitCount {
+  std::size_t n = 0;
+  void push_back(const FindHit& /*hit*/) { ++n; }
+  std::size_t size() const { return n; }
+};
+
+/// One chunk run of the kernels. While a run leads (no parent) it records
+/// its own hits and separator tracker; when convergence merges it into
+/// `parent` at `merge_pos`, everything from the parent's hit store at
 /// index >= parent_base on is shared, with `last_sep` frozen as the run's
 /// own history up to the merge. Reconstruction happens at JOIN time, only
 /// for the one consistent start per chunk — per-start hit lists are never
-/// materialized.
+/// materialized. `Hits` is std::vector<FindHit> for finding, HitCount for
+/// counting.
+template <typename Hits>
 struct FindNode {
   State state = kDeadState;
-  std::vector<FindHit> hits;
+  Hits hits;
   std::int64_t last_sep = -1;
   std::int32_t parent = -1;
   std::size_t parent_base = 0;
@@ -179,8 +72,9 @@ struct FindNode {
   bool dead = false;
 };
 
+template <typename Hits>
 struct FindChunk {
-  std::vector<FindNode> nodes;  ///< one per start, in `starts` order
+  std::vector<FindNode<Hits>> nodes;  ///< one per start, in `starts` order
   std::uint64_t transitions = 0;
 };
 
@@ -218,23 +112,23 @@ struct PackedStep {
   }
 };
 
-/// The one finding kernel: lockstep over the live runs (dead runs compacted
+/// The one scalar kernel: lockstep over the live runs (dead runs compacted
 /// out), recording (end, last-separator) per hit. With kConvergent, runs
-/// landing in the same state at the same position merge exactly like the
-/// counting kernel — but instead of reconstructing per-start totals here,
-/// the merge forest itself is returned and the join resolves only the
-/// consistent start's chain.
-template <bool kConvergent, typename Step>
-FindChunk find_chunk(const Dfa& dfa, std::span<const Symbol> span,
-                     std::span<const State> starts, Step step,
-                     const QueryGovernor* gov) {
+/// landing in the same state at the same position share all future hits:
+/// the merged run executes (and counts transitions) once from the merge
+/// point on, and the merge forest itself is returned so the join resolves
+/// only the consistent start's chain.
+template <bool kConvergent, typename Hits, typename Step>
+FindChunk<Hits> find_chunk(const Dfa& dfa, std::span<const Symbol> span,
+                           std::span<const State> starts, Step step,
+                           const QueryGovernor* gov) {
   const State initial = dfa.initial();
-  FindChunk chunk;
+  FindChunk<Hits> chunk;
   chunk.nodes.resize(starts.size());
   std::vector<std::int32_t> active;
   active.reserve(starts.size());
   for (std::size_t s = 0; s < starts.size(); ++s) {
-    FindNode& node = chunk.nodes[s];
+    FindNode<Hits>& node = chunk.nodes[s];
     node.state = starts[s];  // starts are distinct states — no merges yet
     if (starts[s] == initial) node.last_sep = 0;
     active.push_back(static_cast<std::int32_t>(s));
@@ -261,7 +155,7 @@ FindChunk find_chunk(const Dfa& dfa, std::span<const Symbol> span,
     if constexpr (kConvergent) touched.clear();
     std::size_t write = 0;
     for (const std::int32_t idx : active) {
-      FindNode& node = chunk.nodes[static_cast<std::size_t>(idx)];
+      FindNode<Hits>& node = chunk.nodes[static_cast<std::size_t>(idx)];
       const State next = step.advance(node.state);
       if (next == kDeadState) {
         node.dead = true;  // the dying symbol is not counted
@@ -297,25 +191,27 @@ FindChunk find_chunk(const Dfa& dfa, std::span<const Symbol> span,
   return chunk;
 }
 
-/// Joins one batch of finding-kernel chunk runs: walks the consistent
-/// start's chain through each chunk's merge forest, resolving every hit's
-/// begin and emitting (begin, end) as ABSOLUTE positions (`origin` is the
-/// absolute offset of runs[0]'s first symbol; chunk 0 must have run from
-/// the single start `state`, later chunks from all states, indexed by state
-/// id). `state` enters as the consistent run's state before the batch and
+/// Joins one batch of chunk runs: walks the consistent start's chain
+/// through each chunk's merge forest, resolving every hit's begin and
+/// emitting (begin, end) as ABSOLUTE positions (`origin` is the absolute
+/// offset of runs[0]'s first symbol; chunk 0 must have run from the single
+/// start `state`, later chunks from all states, indexed by state id).
+/// `state` enters as the consistent run's state before the batch and
 /// leaves as its state after it; `carried_sep` is the absolute last
 /// separator and advances with the walk — which is exactly the state a
 /// streaming caller keeps between windows. Shared by the one-shot
 /// find_matches (origin 0, one batch) and stream_find_feed (one batch per
 /// window). Within a chunk a hit whose separator predates the chunk (or,
 /// under convergence, predates a merge in its chain) falls back first to
-/// the chain's own earlier tracker and ultimately to `carried_sep`.
-template <typename Emit>
-void join_find_chunks(std::span<const FindChunk> runs, std::span<const ChunkSpan> chunks,
-                      std::uint64_t origin, State& state, std::uint64_t& carried_sep,
-                      bool& died, Emit&& emit) {
+/// the chain's own earlier tracker and ultimately to `carried_sep`. With
+/// HitCount runs (count_matches) there is nothing to resolve: `emit`
+/// receives each chain node's number of shared hits instead.
+template <typename Hits, typename Emit>
+void join_find_chunks(const std::vector<FindChunk<Hits>>& runs,
+                      std::span<const ChunkSpan> chunks, std::uint64_t origin,
+                      State& state, std::uint64_t& carried_sep, bool& died, Emit&& emit) {
   for (std::size_t i = 0; i < chunks.size(); ++i) {
-    const FindChunk& run = runs[i];
+    const FindChunk<Hits>& run = runs[i];
     const std::uint64_t base = origin + chunks[i].begin;
     // Walk the consistent start's chain through the merge forest. `floor`
     // is the position where the previous chain node merged into the current
@@ -326,12 +222,16 @@ void join_find_chunks(std::span<const FindChunk> runs, std::span<const ChunkSpan
     std::int64_t floor = 0;
     std::int64_t sub = -1;
     while (true) {
-      const FindNode& node = run.nodes[node_index];
-      for (std::size_t h = hit_base; h < node.hits.size(); ++h) {
-        const FindHit& hit = node.hits[h];
-        const std::int64_t sep = hit.sep >= floor ? hit.sep : sub;
-        emit(sep >= 0 ? base + static_cast<std::uint64_t>(sep) : carried_sep,
-             base + hit.pos);
+      const FindNode<Hits>& node = run.nodes[node_index];
+      if constexpr (std::is_same_v<Hits, HitCount>) {
+        emit(node.hits.size() - hit_base);
+      } else {
+        for (std::size_t h = hit_base; h < node.hits.size(); ++h) {
+          const FindHit& hit = node.hits[h];
+          const std::int64_t sep = hit.sep >= floor ? hit.sep : sub;
+          emit(sep >= 0 ? base + static_cast<std::uint64_t>(sep) : carried_sep,
+               base + hit.pos);
+        }
       }
       if (node.parent == -1) {
         const std::int64_t final_sep = node.last_sep >= floor ? node.last_sep : sub;
@@ -360,11 +260,11 @@ void join_find_chunks(std::span<const FindChunk> runs, std::span<const ChunkSpan
 /// next state, the separator update is a conditional move, and the only
 /// branch left on the common path is the rare hit push. Emits node fields,
 /// accounting and merge forests bit-identical to the scalar kernels.
-template <bool kConvergent, typename T>
-FindChunk find_chunk_simd(const Dfa& dfa, const PackedTable& table,
-                          std::span<const Symbol> span,
-                          std::span<const State> starts,
-                          const QueryGovernor* gov) {
+template <bool kConvergent, typename Hits, typename T>
+FindChunk<Hits> find_chunk_simd(const Dfa& dfa, const PackedTable& table,
+                                std::span<const Symbol> span,
+                                std::span<const State> starts,
+                                const QueryGovernor* gov) {
   constexpr std::int32_t kDeadWide = PackedWideDead<T>;
   const simd::GatherFn gather = simd::gather_fn<T>(simd::gather_ops());
   const T* entries = table.data<T>();
@@ -378,14 +278,14 @@ FindChunk find_chunk_simd(const Dfa& dfa, const PackedTable& table,
     flags[static_cast<std::size_t>(s)] = static_cast<std::uint8_t>(
         (dfa.is_final(s) ? 1u : 0u) | (s == initial ? 2u : 0u));
 
-  FindChunk chunk;
+  FindChunk<Hits> chunk;
   chunk.nodes.resize(starts.size());
   std::vector<std::int32_t> active;  // node indices, in `starts` order
   std::vector<std::int32_t> astate;  // i32 gather indices, parallel to active
   active.reserve(starts.size());
   astate.reserve(starts.size());
   for (std::size_t s = 0; s < starts.size(); ++s) {
-    FindNode& node = chunk.nodes[s];
+    FindNode<Hits>& node = chunk.nodes[s];
     node.state = starts[s];  // starts are distinct states — no merges yet
     if (starts[s] == initial) node.last_sep = 0;
     active.push_back(static_cast<std::int32_t>(s));
@@ -418,7 +318,7 @@ FindChunk find_chunk_simd(const Dfa& dfa, const PackedTable& table,
     std::size_t write = 0;
     for (std::size_t a = 0; a < active.size(); ++a) {
       const std::int32_t idx = active[a];
-      FindNode& node = chunk.nodes[static_cast<std::size_t>(idx)];
+      FindNode<Hits>& node = chunk.nodes[static_cast<std::size_t>(idx)];
       const std::int32_t value = astate[a];
       if (value == kDeadWide) {
         node.dead = true;  // the dying symbol is not counted
@@ -460,56 +360,75 @@ FindChunk find_chunk_simd(const Dfa& dfa, const PackedTable& table,
   return chunk;
 }
 
-FindChunk run_find_chunk(const Dfa& dfa, std::span<const Symbol> span,
-                         std::span<const State> starts, const QueryOptions& options,
-                         const QueryGovernor* gov) {
+/// The kernel `kernel` names for one chunk, instantiated for the hit store
+/// and the convergence flag: kReference steps the row table, kSimd gathers
+/// on the packed table, kFused (the default) steps the packed table.
+template <typename Hits, bool kConvergent>
+FindChunk<Hits> dispatch_chunk(const Dfa& dfa, std::span<const Symbol> span,
+                               std::span<const State> starts, DetKernel kernel,
+                               const QueryGovernor* gov) {
+  if (kernel == DetKernel::kReference)
+    return find_chunk<kConvergent, Hits>(dfa, span, starts, RowStep{dfa}, gov);
+  const PackedTable& table = dfa.packed();
   // A gather block is 8 lanes; below that kSimd would pay one dispatch
   // call per symbol for a pure scalar tail, so small start sets take the
   // fused step policy instead (bit-identical results either way).
-  if (options.kernel == DetKernel::kSimd && starts.size() >= 8) {
-    const PackedTable& table = dfa.packed();
+  if (kernel == DetKernel::kSimd && starts.size() >= 8) {
     switch (table.width()) {
       case TableWidth::kU8:
-        return options.convergence
-                   ? find_chunk_simd<true, std::uint8_t>(dfa, table, span, starts, gov)
-                   : find_chunk_simd<false, std::uint8_t>(dfa, table, span, starts, gov);
+        return find_chunk_simd<kConvergent, Hits, std::uint8_t>(dfa, table, span, starts,
+                                                                gov);
       case TableWidth::kU16:
-        return options.convergence
-                   ? find_chunk_simd<true, std::uint16_t>(dfa, table, span, starts, gov)
-                   : find_chunk_simd<false, std::uint16_t>(dfa, table, span, starts, gov);
+        return find_chunk_simd<kConvergent, Hits, std::uint16_t>(dfa, table, span, starts,
+                                                                 gov);
       case TableWidth::kI32:
         break;
     }
-    return options.convergence
-               ? find_chunk_simd<true, std::int32_t>(dfa, table, span, starts, gov)
-               : find_chunk_simd<false, std::int32_t>(dfa, table, span, starts, gov);
+    return find_chunk_simd<kConvergent, Hits, std::int32_t>(dfa, table, span, starts,
+                                                            gov);
   }
-  if (options.kernel == DetKernel::kReference) {
-    return options.convergence
-               ? find_chunk<true>(dfa, span, starts, RowStep{dfa}, gov)
-               : find_chunk<false>(dfa, span, starts, RowStep{dfa}, gov);
-  }
-  const PackedTable& table = dfa.packed();
   switch (table.width()) {
     case TableWidth::kU8:
-      return options.convergence
-                 ? find_chunk<true>(dfa, span, starts, PackedStep<std::uint8_t>{table},
-                                    gov)
-                 : find_chunk<false>(dfa, span, starts, PackedStep<std::uint8_t>{table},
-                                     gov);
+      return find_chunk<kConvergent, Hits>(dfa, span, starts,
+                                           PackedStep<std::uint8_t>{table}, gov);
     case TableWidth::kU16:
-      return options.convergence
-                 ? find_chunk<true>(dfa, span, starts, PackedStep<std::uint16_t>{table},
-                                    gov)
-                 : find_chunk<false>(dfa, span, starts, PackedStep<std::uint16_t>{table},
-                                     gov);
+      return find_chunk<kConvergent, Hits>(dfa, span, starts,
+                                           PackedStep<std::uint16_t>{table}, gov);
     case TableWidth::kI32:
       break;
   }
-  return options.convergence
-             ? find_chunk<true>(dfa, span, starts, PackedStep<std::int32_t>{table}, gov)
-             : find_chunk<false>(dfa, span, starts, PackedStep<std::int32_t>{table},
-                                 gov);
+  return find_chunk<kConvergent, Hits>(dfa, span, starts,
+                                       PackedStep<std::int32_t>{table}, gov);
+}
+
+/// The reach phase shared by every query shape: chunk 0 runs from the
+/// single `first_state` (the initial state one-shot, the carried state when
+/// streaming), every later chunk speculates from all states — a set built
+/// only when there is more than one chunk, so single-chunk calls (the
+/// tailing hot path) never pay for it.
+template <typename Hits>
+std::vector<FindChunk<Hits>> reach_chunks(const Dfa& dfa, std::span<const Symbol> input,
+                                          std::span<const ChunkSpan> chunks,
+                                          State first_state, ThreadPool& pool,
+                                          const QueryOptions& options,
+                                          const QueryGovernor* gov) {
+  std::vector<State> all_states;
+  if (chunks.size() > 1) {
+    all_states.resize(static_cast<std::size_t>(dfa.num_states()));
+    std::iota(all_states.begin(), all_states.end(), State{0});
+  }
+  const State first_start[] = {first_state};
+  std::vector<FindChunk<Hits>> runs(chunks.size());
+  pool.run(chunks.size(), [&](std::size_t i) {
+    if (gov != nullptr) gov->poll();  // chunk boundary: the universal checkpoint
+    const auto span = input.subspan(chunks[i].begin, chunks[i].length);
+    const std::span<const State> starts =
+        i == 0 ? std::span<const State>(first_start) : std::span<const State>(all_states);
+    runs[i] = options.convergence
+                  ? dispatch_chunk<Hits, true>(dfa, span, starts, options.kernel, gov)
+                  : dispatch_chunk<Hits, false>(dfa, span, starts, options.kernel, gov);
+  });
+  return runs;
 }
 
 /// Resolves the governor an entry point runs under: an explicit one from
@@ -569,42 +488,22 @@ QueryResult count_matches(const Dfa& dfa, std::span<const Symbol> input,
   const auto chunks = split_chunks(input.size(), options.chunks);
   result.chunks = chunks.size();
 
-  // Reach: per chunk, one counting run per possible start (chunk 1 only
-  // from the initial state).
+  // Reach: the finding kernels over a HitCount store, so counting shares
+  // find's kernels and merge bookkeeping but keeps no positions.
   Stopwatch reach_clock;
-  std::vector<State> all_states;
-  all_states.reserve(static_cast<std::size_t>(dfa.num_states()));
-  for (State s = 0; s < dfa.num_states(); ++s) all_states.push_back(s);
-  const std::vector<State> first_start{dfa.initial()};
-
-  std::vector<CountChunk> runs(chunks.size());
-  pool.run(chunks.size(), [&](std::size_t i) {
-    if (gov != nullptr) gov->poll();  // chunk boundary: the universal checkpoint
-    const auto span = input.subspan(chunks[i].begin, chunks[i].length);
-    const std::span<const State> starts =
-        (i == 0) ? std::span<const State>(first_start)
-                 : std::span<const State>(all_states);
-    runs[i] = options.convergence ? count_chunk_convergent(dfa, span, starts, gov)
-                                  : count_chunk_independent(dfa, span, starts, gov);
-  });
+  const auto runs =
+      reach_chunks<HitCount>(dfa, input, chunks, dfa.initial(), pool, options, gov);
   result.reach_seconds = reach_clock.seconds();
 
-  // Join: walk the unique consistent path and sum the counters. All chunks'
+  // Join: walk the unique consistent path and sum its hits. All chunks'
   // transitions are speculative work actually executed, so they count even
   // when the true path dies early (convention: parallel/ca_run.hpp).
   Stopwatch join_clock;
-  for (const CountChunk& run : runs) result.transitions += run.transitions;
+  for (const auto& run : runs) result.transitions += run.transitions;
   State state = dfa.initial();
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    const CountChunk& run = runs[i];
-    const std::size_t index = i == 0 ? 0 : static_cast<std::size_t>(state);
-    result.matches += run.hits[index];
-    if (run.end[index] == kDeadState) {
-      result.died = true;
-      break;
-    }
-    state = run.end[index];
-  }
+  std::uint64_t carried_sep = 0;
+  join_find_chunks(runs, chunks, 0, state, carried_sep, result.died,
+                   [&](std::size_t hits) { result.matches += hits; });
   result.accepted = result.matches > 0;
   result.join_seconds = join_clock.seconds();
   return result;
@@ -663,30 +562,16 @@ QueryResult find_matches(const Dfa& dfa, std::span<const Symbol> input,
   const auto chunks = split_chunks(input.size(), options.chunks);
   result.chunks = chunks.size();
 
-  // Reach: per chunk, one finding run per possible start (chunk 1 only from
-  // the initial state), exactly like counting.
   Stopwatch reach_clock;
-  std::vector<State> all_states;
-  all_states.reserve(static_cast<std::size_t>(dfa.num_states()));
-  for (State s = 0; s < dfa.num_states(); ++s) all_states.push_back(s);
-  const std::vector<State> first_start{dfa.initial()};
-
-  std::vector<FindChunk> runs(chunks.size());
-  pool.run(chunks.size(), [&](std::size_t i) {
-    if (gov != nullptr) gov->poll();  // chunk boundary: the universal checkpoint
-    const auto span = input.subspan(chunks[i].begin, chunks[i].length);
-    const std::span<const State> starts =
-        (i == 0) ? std::span<const State>(first_start)
-                 : std::span<const State>(all_states);
-    runs[i] = run_find_chunk(dfa, span, starts, options, gov);
-  });
+  const auto runs = reach_chunks<std::vector<FindHit>>(dfa, input, chunks, dfa.initial(),
+                                                       pool, options, gov);
   result.reach_seconds = reach_clock.seconds();
 
   // Join: walk the unique consistent path, resolving each hit's begin
   // (join_find_chunks). Paging trims the emitted window but never the
   // count. Transition accounting: parallel/ca_run.hpp.
   Stopwatch join_clock;
-  for (const FindChunk& run : runs) result.transitions += run.transitions;
+  for (const auto& run : runs) result.transitions += run.transitions;
   State state = dfa.initial();
   std::uint64_t carried_sep = 0;  // global: position 0 is always a separator
   join_find_chunks(runs, chunks, 0, state, carried_sep, result.died,
@@ -745,31 +630,15 @@ void stream_find_feed(const Dfa& dfa, FindCarry& carry, std::span<const Symbol> 
     carry.history.insert(carry.history.end(), window.begin(), window.end());
 
   // Reach: exactly the one-shot fan-out, except the window's first chunk
-  // continues from the CARRIED state instead of the initial one; later
-  // chunks speculate from every searcher state. The speculative start set
-  // is filled once per session (first multi-chunk window) and reused —
-  // single-chunk windows, the tailing hot path, never build it.
+  // continues from the CARRIED state instead of the initial one.
   const auto chunks = split_chunks(window.size(), options.chunks);
-  if (chunks.size() > 1 && carry.speculative_starts.empty()) {
-    carry.speculative_starts.reserve(static_cast<std::size_t>(dfa.num_states()));
-    for (State s = 0; s < dfa.num_states(); ++s) carry.speculative_starts.push_back(s);
-  }
-  const std::vector<State> first_start{carry.state};
-
-  std::vector<FindChunk> runs(chunks.size());
-  pool.run(chunks.size(), [&](std::size_t i) {
-    if (gov != nullptr) gov->poll();  // window/chunk boundary checkpoint
-    const auto span = window.subspan(chunks[i].begin, chunks[i].length);
-    const std::span<const State> starts =
-        (i == 0) ? std::span<const State>(first_start)
-                 : std::span<const State>(carry.speculative_starts);
-    runs[i] = run_find_chunk(dfa, span, starts, options, gov);
-  });
+  const auto runs = reach_chunks<std::vector<FindHit>>(dfa, window, chunks, carry.state,
+                                                       pool, options, gov);
 
   // Join, serialized per window: the carried (state, last separator) enter
   // the walk and leave updated for the next window; hits emit through the
   // sink with absolute offsets.
-  for (const FindChunk& run : runs) carry.transitions += run.transitions;
+  for (const auto& run : runs) carry.transitions += run.transitions;
   join_find_chunks(runs, chunks, origin, carry.state, carry.last_sep, carry.died,
                    [&](std::uint64_t begin, std::uint64_t end) {
                      if (exact) {
@@ -807,94 +676,6 @@ void stream_find_feed(const Dfa& dfa, FindCarry& carry, std::span<const Symbol> 
       carry.history_base = carry.last_sep;
     }
   }
-}
-
-// --------------------------------------------------------- carry (de)coding
-
-namespace {
-
-void carry_put_u64(std::string& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8)
-    out.push_back(static_cast<char>((v >> shift) & 0xff));
-}
-
-void carry_put_u32(std::string& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8)
-    out.push_back(static_cast<char>((v >> shift) & 0xff));
-}
-
-[[noreturn]] void carry_malformed(const char* what) {
-  throw ValidationError(std::string("checkpoint: malformed find carry — ") + what);
-}
-
-std::uint64_t carry_get_u64(std::string_view image, std::size_t& pos) {
-  if (image.size() - pos < 8) carry_malformed("truncated");
-  std::uint64_t v = 0;
-  for (int shift = 0; shift < 64; shift += 8)
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(image[pos++])) << shift;
-  return v;
-}
-
-std::uint32_t carry_get_u32(std::string_view image, std::size_t& pos) {
-  if (image.size() - pos < 4) carry_malformed("truncated");
-  std::uint32_t v = 0;
-  for (int shift = 0; shift < 32; shift += 8)
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(image[pos++])) << shift;
-  return v;
-}
-
-std::uint8_t carry_get_u8(std::string_view image, std::size_t& pos) {
-  if (image.size() - pos < 1) carry_malformed("truncated");
-  return static_cast<std::uint8_t>(image[pos++]);
-}
-
-}  // namespace
-
-void encode_find_carry(const FindCarry& carry, std::string& out) {
-  carry_put_u32(out, static_cast<std::uint32_t>(carry.state));
-  out.push_back(static_cast<char>(carry.at_start ? 1 : 0));
-  out.push_back(static_cast<char>(carry.died ? 1 : 0));
-  carry_put_u64(out, carry.consumed);
-  carry_put_u64(out, carry.last_sep);
-  carry_put_u64(out, carry.matches);
-  carry_put_u64(out, carry.transitions);
-  carry_put_u64(out, carry.history_base);
-  carry_put_u64(out, carry.history.size());
-  for (const Symbol symbol : carry.history)
-    carry_put_u32(out, static_cast<std::uint32_t>(symbol));
-}
-
-FindCarry decode_find_carry(std::string_view image, std::size_t& pos) {
-  FindCarry carry;
-  carry.state = static_cast<State>(carry_get_u32(image, pos));
-  const std::uint8_t at_start = carry_get_u8(image, pos);
-  const std::uint8_t died = carry_get_u8(image, pos);
-  if (at_start > 1 || died > 1) carry_malformed("flag byte is not 0/1");
-  carry.at_start = at_start != 0;
-  carry.died = died != 0;
-  carry.consumed = carry_get_u64(image, pos);
-  carry.last_sep = carry_get_u64(image, pos);
-  carry.matches = carry_get_u64(image, pos);
-  carry.transitions = carry_get_u64(image, pos);
-  carry.history_base = carry_get_u64(image, pos);
-  const std::uint64_t history_size = carry_get_u64(image, pos);
-  // The length is validated against the REMAINING image before any
-  // allocation — a forged length cannot reserve gigabytes off a short blob.
-  if (history_size > (image.size() - pos) / 4) carry_malformed("truncated history");
-  if (carry.state < kDeadState) carry_malformed("state below the dead sentinel");
-  if (carry.last_sep > carry.consumed) carry_malformed("last_sep past consumed");
-  if (carry.history_base > carry.consumed) carry_malformed("history_base past consumed");
-  if (carry.at_start &&
-      (carry.consumed != 0 || carry.died || history_size != 0))
-    carry_malformed("fresh carry with consumed input");
-  // The tail invariant: when retained, history covers [history_base,
-  // consumed) exactly (stream_find_feed maintains it every feed).
-  if (history_size != 0 && carry.history_base + history_size != carry.consumed)
-    carry_malformed("history does not cover [history_base, consumed)");
-  carry.history.reserve(history_size);
-  for (std::uint64_t i = 0; i < history_size; ++i)
-    carry.history.push_back(static_cast<Symbol>(carry_get_u32(image, pos)));
-  return carry;
 }
 
 }  // namespace rispar

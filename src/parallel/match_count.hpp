@@ -4,43 +4,41 @@
 //
 // Build the DFA of Σ*p (Engine::count derives it from any Pattern): a
 // prefix x[0..j] ends an occurrence of p iff the DFA is in a final state
-// after j. Counting those positions parallelizes with the same speculative
-// scheme as recognition: each chunk runs from every state recording
-// (end, hits); the join walks the single consistent path from the initial
-// state and sums the hit counters. Correct for any *total-on-the-text*
-// DFA; if the true run dies, the count up to the death point is returned
-// and `died` is set.
+// after j. Finding those positions parallelizes with the same speculative
+// scheme as recognition: the reach runs each chunk from every state (the
+// first chunk only from the initial state, or a stream's carried state),
+// and the join walks the single consistent path. Correct for any
+// *total-on-the-text* DFA; if the true run dies, the hits up to the death
+// point are returned and `died` is set. Transition accounting follows the
+// convention of parallel/ca_run.hpp.
 //
-// Counting takes the unified QueryOptions: `chunks` as everywhere, and
-// `convergence` enables a run-convergence counting kernel — runs that land
-// in the same state at the same position share all future hits, so merged
-// runs execute (and count) as one from the merge point on, with per-start
-// totals reconstructed through the merge tree at the end. Knobs counting
-// cannot honor (lookback, tree_join, a kernel choice) raise QueryError.
-// Transition accounting follows the convention of parallel/ca_run.hpp.
+// One reach and one set of chunk kernels serve every query shape — one-shot
+// find, streaming find, and counting. Each chunk run records, per hit, the
+// chunk-local end position and the run's *last separator* (the last
+// position at which its state was the searcher's initial state again, i.e.
+// no partial occurrence pending); find_matches' join resolves separators
+// that predate a chunk (or a convergence merge) through the carried/global
+// tracker, emits WHERE the occurrences are (Match — semantics documented on
+// the struct in engine/query.hpp), and pages the emitted list with
+// QueryOptions::offset/limit while still counting every occurrence in
+// `matches`. Counting is the same find with a hit COUNTER in place of the
+// hit list: the join sums the consistent chain's hits and no position is
+// ever stored, so count_matches equals find_matches' totals, death and
+// transitions under the same options.
 //
-// ## Finding (positions, not just totals)
-//
-// find_matches extends the same speculative scheme to emit WHERE the
-// occurrences are (Match — semantics documented on the struct in
-// engine/query.hpp). Each chunk run records, per hit, the chunk-local end
-// position and the run's *last separator* (the last position at which its
-// state was the searcher's initial state again, i.e. no partial occurrence
-// pending); the join walks the consistent path, resolves separators that
-// predate a chunk (or a convergence merge) through the carried/global
-// tracker, and pages the emitted list with QueryOptions::offset/limit while
-// still counting every occurrence in `matches`.
-//
-// Finding honors the full kernel vocabulary: `convergence` shares hit
-// LISTS through the merge tree (per-start lists reconstructed lazily, only
-// for the one consistent start per chunk, at join time), and `kernel`
-// selects between the fused lockstep loop on the width-packed table
-// (kFused, the default serving path), the vector-gather lockstep with
-// branch-light flag-extract hit recording (kSimd — AVX2 or the portable
-// unrolled fallback, runtime-picked; see util/simd_gather.hpp), and a
-// plain row-table stepping loop (kReference) — with find_matches_serial as
-// the one-scan oracle above all three (property-tested equal across every
-// combination).
+// Counting takes `chunks` and `convergence` of the unified QueryOptions and
+// always runs the default (fused) kernel; knobs it cannot honor (lookback,
+// tree_join, a kernel choice) raise QueryError. Finding honors the full
+// kernel vocabulary: `convergence` shares hits through the merge tree —
+// runs that land in the same state at the same position execute as one
+// from the merge point on, with the consistent start's hits reconstructed
+// lazily at join time — and `kernel` selects between the fused lockstep
+// loop on the width-packed table (kFused, the default serving path), the
+// vector-gather lockstep with branch-light flag-extract hit recording
+// (kSimd — AVX2 or the portable unrolled fallback, runtime-picked; see
+// util/simd_gather.hpp), and a plain row-table stepping loop (kReference)
+// — with find_matches_serial as the one-scan oracle above all three
+// (property-tested equal across every combination).
 #pragma once
 
 #include <cstdint>
@@ -58,7 +56,7 @@ namespace rispar {
 /// query up front, before the searcher build and text translation.
 inline constexpr DeviceCaps kCountingCaps{.convergence = true};
 inline constexpr const char* kCountingContext =
-    "count (the one deterministic counting kernel; it honors chunks and "
+    "count (the finding kernel without positions; it honors chunks and "
     "convergence)";
 
 /// Serial reference: one scan, counting final-state positions. The empty
@@ -130,11 +128,6 @@ struct FindCarry {
   std::uint64_t last_sep = 0;  ///< absolute last-separator position
   std::uint64_t matches = 0;   ///< total occurrences emitted so far
   std::uint64_t transitions = 0;
-  /// Cached speculative start set (all searcher states), filled on the
-  /// first window that fans out to more than one chunk and reused across
-  /// windows — the per-feed analogue of the devices' constructor-time
-  /// all_states_ members. Session-scoped scratch, not semantic state.
-  std::vector<State> speculative_starts;
   /// BeginMode::kExact only: retained window symbols the backward
   /// reverse-DFA scan resolves cross-window begins over. `history_base` is
   /// the absolute position of history[0]; the retained tail always covers
@@ -147,22 +140,6 @@ struct FindCarry {
   std::vector<Symbol> history;
   std::uint64_t history_base = 0;
 };
-
-/// Appends `carry`'s SEMANTIC state — searcher state, flags, the absolute
-/// counters and the kExact history tail — to `out` as a little-endian
-/// binary image. `speculative_starts` is session-scoped scratch and is
-/// NOT encoded (a resumed session refills it lazily). This is the
-/// per-pattern payload unit of the session checkpoints; the versioned,
-/// checksummed envelope around it lives in engine/checkpoint.hpp.
-void encode_find_carry(const FindCarry& carry, std::string& out);
-
-/// Decodes an encode_find_carry image from `image` starting at `pos`,
-/// advancing `pos` past it. Throws ValidationError on truncation and on
-/// fields violating the carry invariants (history covers exactly
-/// [history_base, consumed) when retained; last_sep <= consumed; a fresh
-/// carry has nothing consumed) — a corrupted or forged image surfaces as
-/// a typed error, never as an inconsistent session.
-FindCarry decode_find_carry(std::string_view image, std::size_t& pos);
 
 /// What streaming find honors (chunks, convergence, kernel — no paging: an
 /// unbounded stream has no total to page against, so offset/limit REJECT),

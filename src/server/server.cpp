@@ -478,10 +478,12 @@ void Server::close_connection(int fd) {
   // In-flight FeedJobs hold their Session shared_ptr (and its catalog pin);
   // their completions route by uid, find nothing, and are dropped.
   connections_by_uid_.erase(conn.uid);
+  // Count the close before the peer can see EOF, so a client that reads
+  // the counters after its socket closed never sees itself still open.
+  connections_open_.fetch_sub(1, std::memory_order_relaxed);
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);
   connections_.erase(it);
-  connections_open_.fetch_sub(1, std::memory_order_relaxed);
   maybe_finish_drain();
 }
 
@@ -1205,12 +1207,13 @@ Server::FeedDone Server::execute_feed(FeedJob job) {
     // feed, and the chunk fan-out inside goes through the shared pool's
     // admission gate — every PR 6 failure mode funnels into the catch
     // ladder below as a typed error frame.
-    // Multi-pattern sessions emit session-local pattern indices; remap to
-    // catalog ids here, so MATCHES frames always speak manifest line order.
+    // Sessions emit session-local pattern ids (a single-pattern session
+    // always 0); tag them with catalog ids here, so MATCHES frames always
+    // speak manifest line order.
     const bool remap = session.multi.has_value();
     const MatchSink sink = [&matches, &session, remap](const Match& m) {
       Match tagged = m;
-      if (remap) tagged.pattern_id = session.catalog_ids[m.pattern_id];
+      tagged.pattern_id = remap ? session.catalog_ids[m.pattern_id] : session.pattern_id;
       matches.push_back(tagged);
     };
     session.feed(job.bytes, sink);

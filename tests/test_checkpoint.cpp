@@ -242,6 +242,60 @@ TEST(Checkpoint, TrailingBytesReject) {
   EXPECT_THROW((void)engine.resume_stream(blob, options), ValidationError);
 }
 
+TEST(Checkpoint, FindCarryImageBytesArePinned) {
+  // Blobs outlive the process that wrote them, so the find-carry image is a
+  // persistence format: these bytes must not move. A hand-built kExact carry
+  // (3 retained history symbols) in a one-pattern blob; layout in
+  // engine/checkpoint.hpp, all integers little-endian.
+  FindCarry carry;
+  carry.state = 3;
+  carry.at_start = false;
+  carry.consumed = 10;
+  carry.last_sep = 7;
+  carry.matches = 2;
+  carry.transitions = 12;
+  carry.history_base = 7;
+  carry.history = {1, 2, 0};
+  const QueryOptions options{.positions = true, .begin_mode = BeginMode::kExact};
+  const std::uint64_t fingerprint = 0x0123456789abcdefull;
+  const std::string blob = checkpoint::encode_multi({&carry}, 10, options, fingerprint);
+
+  const std::vector<std::uint8_t> expected = {
+      0x52, 0x53, 0x43, 0x4b,                          // magic "RSCK"
+      1, 0, 0, 0,                                      // version
+      2, 0, 1, 1,                                      // kind, variant, positions, mode
+      0xef, 0xcd, 0xab, 0x89, 0x67, 0x45, 0x23, 0x01,  // fingerprint
+      10, 0, 0, 0, 0, 0, 0, 0,                         // session consumed
+      1, 0, 0, 0,                                      // npatterns
+      3, 0, 0, 0,                                      // carry: state
+      0, 0,                                            // at_start, died
+      10, 0, 0, 0, 0, 0, 0, 0,                         // consumed
+      7, 0, 0, 0, 0, 0, 0, 0,                          // last_sep
+      2, 0, 0, 0, 0, 0, 0, 0,                          // matches
+      12, 0, 0, 0, 0, 0, 0, 0,                         // transitions
+      7, 0, 0, 0, 0, 0, 0, 0,                          // history_base
+      3, 0, 0, 0, 0, 0, 0, 0,                          // nhistory
+      1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0,              // history symbols
+  };
+  ASSERT_EQ(blob.size(), expected.size() + 8);  // + the checksum64 trailer
+  for (std::size_t i = 0; i < expected.size(); ++i)
+    EXPECT_EQ(static_cast<std::uint8_t>(blob[i]), expected[i]) << "byte " << i;
+
+  const checkpoint::MultiImage image = checkpoint::decode_multi(blob, 1, options,
+                                                                fingerprint);
+  ASSERT_EQ(image.carries.size(), 1u);
+  const FindCarry& back = image.carries[0];
+  EXPECT_EQ(back.state, carry.state);
+  EXPECT_FALSE(back.at_start);
+  EXPECT_FALSE(back.died);
+  EXPECT_EQ(back.consumed, carry.consumed);
+  EXPECT_EQ(back.last_sep, carry.last_sep);
+  EXPECT_EQ(back.matches, carry.matches);
+  EXPECT_EQ(back.transitions, carry.transitions);
+  EXPECT_EQ(back.history_base, carry.history_base);
+  EXPECT_EQ(back.history, carry.history);
+}
+
 TEST(Checkpoint, FingerprintIsContentNotShape) {
   // "a" and "b" have identical minimal-DFA SHAPES; only the byte classes
   // differ. The fingerprint must still tell them apart.

@@ -359,11 +359,18 @@ TEST_P(EngineEquivalence, CountMatchesSerialOracleUnderAllModes) {
     const QueryResult serial = count_matches_serial(searcher, input);
     for (const std::size_t chunks : {1u, 3u, 7u}) {
       for (const bool convergence : {false, true}) {
-        const QueryResult via_engine =
-            engine.count(text, {.chunks = chunks, .convergence = convergence});
+        const QueryOptions options{.chunks = chunks, .convergence = convergence};
+        const QueryResult via_engine = engine.count(text, options);
         EXPECT_EQ(via_engine.matches, serial.matches)
             << "c=" << chunks << " conv=" << convergence << " text=" << text;
         EXPECT_EQ(via_engine.died, serial.died);
+        // Count is find without the positions: same totals, same death, same
+        // speculative work.
+        const QueryResult found = engine.find(text, options);
+        EXPECT_EQ(found.matches, via_engine.matches)
+            << "c=" << chunks << " conv=" << convergence << " text=" << text;
+        EXPECT_EQ(found.died, via_engine.died);
+        EXPECT_EQ(found.transitions, via_engine.transitions);
       }
     }
   }

@@ -295,6 +295,29 @@ TEST(RispardServer, OneConnectionMultiplexesSessionsOnDifferentPatterns) {
   EXPECT_EQ(client.close_session(2), on_ba.matches_total);
 }
 
+TEST(RispardServer, SinglePatternMatchesCarryTheCatalogId) {
+  // MATCHES entries speak catalog ids (docs/rispard.md): a session opened
+  // on pattern 1 tags every match 1, not its session-local 0.
+  ServerHarness harness({"ab", "ba", "b+"});
+  Client client(harness.port());
+  ASSERT_GE(client.fd, 0);
+
+  ASSERT_EQ(client.open(/*sid=*/5, /*pid=*/1), 1u);
+  const std::string text = "abbaabba xbay ba";
+  const auto outcome = client.feed(5, text);
+  ASSERT_TRUE(outcome.ok);
+  const Engine oracle(Pattern::compile("ba"));
+  const std::vector<Match> expected = oracle.find_all(text);
+  ASSERT_FALSE(expected.empty());
+  ASSERT_EQ(outcome.matches.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(outcome.matches[i].pattern_id, 1u) << "match " << i;
+    EXPECT_EQ(outcome.matches[i].begin, expected[i].begin) << "match " << i;
+    EXPECT_EQ(outcome.matches[i].end, expected[i].end) << "match " << i;
+  }
+  EXPECT_EQ(client.close_session(5), expected.size());
+}
+
 TEST(RispardServer, CountersTrackServing) {
   ServerHarness harness({"ab"});
   {

@@ -80,7 +80,8 @@ const char* const kUsage =
     "runtime, so 'simd' works on any machine), and 'reference' is the seed\n"
     "oracle implementation. All three return identical results; variants\n"
     "that run no deterministic kernel (nfa, sfa) reject a non-default\n"
-    "choice. count has one counting kernel and takes no --kernel.\n"
+    "choice. count runs the default (fused) finding kernel and takes no\n"
+    "--kernel.\n"
     "\n"
     "--stream reads the input in windows of at most --window bytes (default\n"
     "64 KiB) through a streaming-find session: at no point does the whole\n"
