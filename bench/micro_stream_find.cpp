@@ -2,9 +2,10 @@
 // StreamSession fed window by window against the one-shot find_matches
 // scan of the same text, across window size × chunk fan-out ×
 // (convergence, kernel). The interesting trade-off is window sizing: each
-// window pays one serialized join plus, for every chunk past the first,
-// speculation from all searcher states — small windows amortize badly,
-// large windows delay emission (docs/perf.md, "Streaming find").
+// window pays one serialized join, one pool batch and, for every chunk
+// past the first, a lookback probe from all searcher states before its
+// boundary — small windows amortize badly, large windows delay emission
+// (docs/perf.md, "Streaming find").
 //
 // Unless the caller passes --benchmark_out, results are also written as
 // machine-readable JSON to BENCH_stream_find.json in the working

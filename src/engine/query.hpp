@@ -117,7 +117,9 @@ struct QueryOptions {
   /// all starts are advanced over the `lookback` symbols preceding the
   /// chunk boundary; only the (deduplicated) survivors start real runs.
   /// Sound because the true boundary state is the image of *some* state
-  /// over that window. 0 disables.
+  /// over that window. 0 disables. The knob stays DFA-device only: find,
+  /// count and streaming find do their own internal lookback
+  /// (parallel/match_count.hpp, chunk_starts) and reject it.
   std::size_t lookback = 0;
   /// Parallel tree-reduction join (DFA device only): chunk mappings are
   /// total functions Q → Q ∪ {dead}, whose composition is associative, so

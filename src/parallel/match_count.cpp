@@ -1,6 +1,8 @@
 #include "parallel/match_count.hpp"
 
+#include <algorithm>
 #include <numeric>
+#include <stdexcept>
 #include <type_traits>
 
 #include "parallel/chunking.hpp"
@@ -74,6 +76,7 @@ struct FindNode {
 
 template <typename Hits>
 struct FindChunk {
+  std::vector<State> starts;          ///< sorted, distinct (chunk_starts)
   std::vector<FindNode<Hits>> nodes;  ///< one per start, in `starts` order
   std::uint64_t transitions = 0;
 };
@@ -191,11 +194,57 @@ FindChunk<Hits> find_chunk(const Dfa& dfa, std::span<const Symbol> span,
   return chunk;
 }
 
+/// The one-start kernel: a plain serial scan with the state, the last
+/// separator and the position in registers. Emits the node fields, hits and
+/// accounting find_chunk emits for the same single start — it is the
+/// fused/SIMD path of every chunk whose start set collapsed to one state,
+/// and of every c=1 window.
+template <typename Hits, typename T>
+FindChunk<Hits> scan_chunk(const Dfa& dfa, const PackedTable& table,
+                           std::span<const Symbol> span, State start,
+                           const QueryGovernor* gov) {
+  constexpr T kDead = PackedDead<T>::value;
+  const T* entries = table.data<T>();
+  const auto n = static_cast<std::size_t>(table.num_states());
+  const auto limit = static_cast<std::uint32_t>(table.num_symbols());
+  const State initial = dfa.initial();
+  const Bitset& finals = dfa.finals();
+
+  FindChunk<Hits> chunk;
+  FindNode<Hits>& node = chunk.nodes.emplace_back();
+  State state = start;
+  std::int64_t last_sep = start == initial ? 0 : -1;
+  std::size_t pos = 0;
+  GovPoll poll(gov);
+  for (; pos < span.size(); ++pos) {
+    poll.step();
+    const Symbol symbol = span[pos];
+    if (static_cast<std::uint32_t>(symbol) >= limit) {
+      node.dead = true;  // alien symbol: not counted
+      break;
+    }
+    const T next = entries[static_cast<std::size_t>(symbol) * n +
+                           static_cast<std::size_t>(state)];
+    if (next == kDead) {
+      node.dead = true;  // the dying symbol is not counted
+      break;
+    }
+    state = static_cast<State>(next);
+    if (state == initial) last_sep = static_cast<std::int64_t>(pos) + 1;
+    if (finals.test(static_cast<std::size_t>(state)))
+      node.hits.push_back({static_cast<std::uint64_t>(pos) + 1, last_sep});
+  }
+  node.state = state;
+  node.last_sep = last_sep;
+  chunk.transitions = pos;
+  return chunk;
+}
+
 /// Joins one batch of chunk runs: walks the consistent start's chain
 /// through each chunk's merge forest, resolving every hit's begin and
 /// emitting (begin, end) as ABSOLUTE positions (`origin` is the absolute
-/// offset of runs[0]'s first symbol; chunk 0 must have run from the single
-/// start `state`, later chunks from all states, indexed by state id).
+/// offset of runs[0]'s first symbol; each chunk's nodes follow its sorted
+/// `starts`, which must contain the consistent run's boundary state).
 /// `state` enters as the consistent run's state before the batch and
 /// leaves as its state after it; `carried_sep` is the absolute last
 /// separator and advances with the walk — which is exactly the state a
@@ -217,7 +266,10 @@ void join_find_chunks(const std::vector<FindChunk<Hits>>& runs,
     // is the position where the previous chain node merged into the current
     // one — separators recorded before it belong to the current node's own
     // history, not the consistent run's, and substitute through `sub`.
-    std::size_t node_index = i == 0 ? 0 : static_cast<std::size_t>(state);
+    const auto at = std::lower_bound(run.starts.begin(), run.starts.end(), state);
+    if (at == run.starts.end() || *at != state)
+      throw std::logic_error("find join: boundary state missing from the chunk's starts");
+    auto node_index = static_cast<std::size_t>(at - run.starts.begin());
     std::size_t hit_base = 0;
     std::int64_t floor = 0;
     std::int64_t sub = -1;
@@ -360,9 +412,26 @@ FindChunk<Hits> find_chunk_simd(const Dfa& dfa, const PackedTable& table,
   return chunk;
 }
 
+/// Calls fn(T{}) with the entry type T the packed table was built at.
+template <typename Fn>
+decltype(auto) with_width(const PackedTable& table, Fn&& fn) {
+  switch (table.width()) {
+    case TableWidth::kU8:
+      return fn(std::uint8_t{});
+    case TableWidth::kU16:
+      return fn(std::uint16_t{});
+    case TableWidth::kI32:
+      break;
+  }
+  return fn(std::int32_t{});
+}
+
 /// The kernel `kernel` names for one chunk, instantiated for the hit store
-/// and the convergence flag: kReference steps the row table, kSimd gathers
-/// on the packed table, kFused (the default) steps the packed table.
+/// and the convergence flag: kReference steps the row table for any number
+/// of starts; on the packed table a single start takes scan_chunk, several
+/// take the SIMD gather (kSimd, from 8 starts — below one gather block it
+/// would pay a dispatch per symbol for a scalar tail) or the fused step
+/// policy. Results are bit-identical whichever kernel runs.
 template <typename Hits, bool kConvergent>
 FindChunk<Hits> dispatch_chunk(const Dfa& dfa, std::span<const Symbol> span,
                                std::span<const State> starts, DetKernel kernel,
@@ -370,64 +439,62 @@ FindChunk<Hits> dispatch_chunk(const Dfa& dfa, std::span<const Symbol> span,
   if (kernel == DetKernel::kReference)
     return find_chunk<kConvergent, Hits>(dfa, span, starts, RowStep{dfa}, gov);
   const PackedTable& table = dfa.packed();
-  // A gather block is 8 lanes; below that kSimd would pay one dispatch
-  // call per symbol for a pure scalar tail, so small start sets take the
-  // fused step policy instead (bit-identical results either way).
-  if (kernel == DetKernel::kSimd && starts.size() >= 8) {
-    switch (table.width()) {
-      case TableWidth::kU8:
-        return find_chunk_simd<kConvergent, Hits, std::uint8_t>(dfa, table, span, starts,
-                                                                gov);
-      case TableWidth::kU16:
-        return find_chunk_simd<kConvergent, Hits, std::uint16_t>(dfa, table, span, starts,
-                                                                 gov);
-      case TableWidth::kI32:
-        break;
-    }
-    return find_chunk_simd<kConvergent, Hits, std::int32_t>(dfa, table, span, starts,
-                                                            gov);
-  }
-  switch (table.width()) {
-    case TableWidth::kU8:
-      return find_chunk<kConvergent, Hits>(dfa, span, starts,
-                                           PackedStep<std::uint8_t>{table}, gov);
-    case TableWidth::kU16:
-      return find_chunk<kConvergent, Hits>(dfa, span, starts,
-                                           PackedStep<std::uint16_t>{table}, gov);
-    case TableWidth::kI32:
-      break;
-  }
-  return find_chunk<kConvergent, Hits>(dfa, span, starts,
-                                       PackedStep<std::int32_t>{table}, gov);
+  return with_width(table, [&](auto width) {
+    using T = decltype(width);
+    if (starts.size() == 1) return scan_chunk<Hits, T>(dfa, table, span, starts[0], gov);
+    if (kernel == DetKernel::kSimd && starts.size() >= 8)
+      return find_chunk_simd<kConvergent, Hits, T>(dfa, table, span, starts, gov);
+    return find_chunk<kConvergent, Hits>(dfa, span, starts, PackedStep<T>{table}, gov);
+  });
 }
 
-/// The reach phase shared by every query shape: chunk 0 runs from the
-/// single `first_state` (the initial state one-shot, the carried state when
-/// streaming), every later chunk speculates from all states — a set built
-/// only when there is more than one chunk, so single-chunk calls (the
-/// tailing hot path) never pay for it.
+/// The sorted distinct states `starts` reach over `window`, adding the
+/// steps taken to `transitions`: the lockstep kernel over a HitCount store,
+/// so runs die, merge (with `convergence`) and count exactly as in a chunk
+/// run. A merged run follows its parent, so only unmerged live runs count.
+std::vector<State> reached_states(const Dfa& dfa, std::span<const Symbol> window,
+                                  std::span<const State> starts, bool convergence,
+                                  std::uint64_t& transitions, const QueryGovernor* gov) {
+  const PackedTable& table = dfa.packed();
+  const FindChunk<HitCount> run = with_width(table, [&](auto width) {
+    const PackedStep<decltype(width)> step{table};
+    return convergence ? find_chunk<true, HitCount>(dfa, window, starts, step, gov)
+                       : find_chunk<false, HitCount>(dfa, window, starts, step, gov);
+  });
+  transitions += run.transitions;
+  std::vector<State> states;
+  for (const FindNode<HitCount>& node : run.nodes)
+    if (!node.dead && node.parent == -1) states.push_back(node.state);
+  std::sort(states.begin(), states.end());
+  states.erase(std::unique(states.begin(), states.end()), states.end());
+  return states;
+}
+
+/// The reach phase shared by every query shape: each chunk runs from the
+/// start set chunk_starts leaves at its boundary — chunk 0 from the single
+/// `first_state` (the initial state one-shot, the carried state when
+/// streaming), later chunks from the survivors of their lookback probe.
 template <typename Hits>
 std::vector<FindChunk<Hits>> reach_chunks(const Dfa& dfa, std::span<const Symbol> input,
                                           std::span<const ChunkSpan> chunks,
                                           State first_state, ThreadPool& pool,
                                           const QueryOptions& options,
                                           const QueryGovernor* gov) {
-  std::vector<State> all_states;
-  if (chunks.size() > 1) {
-    all_states.resize(static_cast<std::size_t>(dfa.num_states()));
-    std::iota(all_states.begin(), all_states.end(), State{0});
-  }
-  const State first_start[] = {first_state};
   std::vector<FindChunk<Hits>> runs(chunks.size());
-  pool.run(chunks.size(), [&](std::size_t i) {
+  const auto run_chunk = [&](std::size_t i) {
     if (gov != nullptr) gov->poll();  // chunk boundary: the universal checkpoint
+    std::uint64_t probed = 0;
+    std::vector<State> starts =
+        chunk_starts(dfa, input, chunks[i].begin, chunks[i].length, first_state,
+                     options.convergence, probed, gov);
     const auto span = input.subspan(chunks[i].begin, chunks[i].length);
-    const std::span<const State> starts =
-        i == 0 ? std::span<const State>(first_start) : std::span<const State>(all_states);
     runs[i] = options.convergence
                   ? dispatch_chunk<Hits, true>(dfa, span, starts, options.kernel, gov)
                   : dispatch_chunk<Hits, false>(dfa, span, starts, options.kernel, gov);
-  });
+    runs[i].transitions += probed;
+    runs[i].starts = std::move(starts);
+  };
+  pool.run(chunks.size(), run_chunk, gov);
   return runs;
 }
 
@@ -475,6 +542,40 @@ void require_reverse(const ReverseBegins* reverse, const char* context) {
 }
 
 }  // namespace
+
+std::vector<State> chunk_starts(const Dfa& dfa, std::span<const Symbol> input,
+                                std::size_t boundary, std::size_t chunk_length,
+                                State first_state, bool convergence,
+                                std::uint64_t& transitions, const QueryGovernor* gov) {
+  if (boundary == 0) return {first_state};
+  const auto num_states = static_cast<std::size_t>(dfa.num_states());
+  const auto all_states = [&] {
+    std::vector<State> all(num_states);
+    std::iota(all.begin(), all.end(), State{0});
+    return all;
+  };
+  const std::uint64_t before = transitions;
+  std::vector<State> starts;  // empty until a window is probed
+  for (std::size_t window = kFirstLookback;; window *= 4) {
+    if (window >= boundary) {  // reaches the input start: exact
+      const State first[] = {first_state};
+      return reached_states(dfa, input.first(boundary), first, convergence, transitions,
+                            gov);
+    }
+    if (window > chunk_length / 4) break;
+    // A longer window pays only if its probe, on top of those already run,
+    // costs no more than the current survivors save over all states — so a
+    // searcher whose runs do not collapse stops early.
+    if (!starts.empty()) {
+      const std::uint64_t probe_cost = transitions - before + window * num_states;
+      if (probe_cost > chunk_length * (num_states - starts.size())) break;
+    }
+    starts = reached_states(dfa, input.subspan(boundary - window, window), all_states(),
+                            convergence, transitions, gov);
+    if (starts.size() <= 1) return starts;
+  }
+  return starts.empty() ? all_states() : starts;
+}
 
 QueryResult count_matches(const Dfa& dfa, std::span<const Symbol> input,
                           ThreadPool& pool, const QueryOptions& options,

@@ -5,12 +5,16 @@
 // Build the DFA of Σ*p (Engine::count derives it from any Pattern): a
 // prefix x[0..j] ends an occurrence of p iff the DFA is in a final state
 // after j. Finding those positions parallelizes with the same speculative
-// scheme as recognition: the reach runs each chunk from every state (the
-// first chunk only from the initial state, or a stream's carried state),
-// and the join walks the single consistent path. Correct for any
+// scheme as recognition: the reach runs each chunk from the few states its
+// boundary allows (the first chunk only from the initial state, or a
+// stream's carried state; later chunks from the survivors of a lookback
+// probe over the symbols before the boundary — chunk_starts), and the join
+// walks the single consistent path. A Σ*p searcher forgets its past within
+// a pattern's length on most texts, so the probe usually leaves ONE start
+// and the chunk runs as a plain serial scan. Correct for any
 // *total-on-the-text* DFA; if the true run dies, the hits up to the death
-// point are returned and `died` is set. Transition accounting follows the
-// convention of parallel/ca_run.hpp.
+// point are returned and `died` is set. Transition accounting (probe steps
+// included) follows the convention of parallel/ca_run.hpp.
 //
 // One reach and one set of chunk kernels serve every query shape — one-shot
 // find, streaming find, and counting. Each chunk run records, per hit, the
@@ -41,8 +45,10 @@
 // (property-tested equal across every combination).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "automata/dfa.hpp"
 #include "automata/searcher.hpp"
@@ -50,6 +56,35 @@
 #include "parallel/thread_pool.hpp"
 
 namespace rispar {
+
+/// The first lookback window of chunk_starts, in symbols; each next window
+/// is four times longer.
+inline constexpr std::size_t kFirstLookback = 16;
+
+/// The start states of the chunk that begins at `boundary` of `input` and
+/// is `chunk_length` symbols long, sorted and distinct: the states every
+/// searcher state reaches over the `window` symbols just before the
+/// boundary, for window = kFirstLookback, ×4, … — stopping at the first
+/// window that leaves one survivor, or before a window longer than a
+/// quarter of the chunk, or before a window whose probe (on top of those
+/// already run) would cost more steps than running the chunk from the
+/// current survivors saves over running it from all |Q| states — then the
+/// last window's survivors, or every state when none was probed. So a
+/// chunk never costs more than chunk_length·|Q| + kFirstLookback·|Q| steps,
+/// even when the runs never collapse. A window that reaches the input start runs from
+/// `first_state` alone and yields the exact boundary state (so boundary 0
+/// yields {first_state}). Sound: the consistent run's state at the
+/// boundary is the image of SOME state over the window, so it is always
+/// among the starts — unless that run died before the boundary, which is
+/// why a dead transition drops a run and an alien symbol empties the set.
+/// With `convergence` runs landing in one state merge on every symbol;
+/// without it they run independently and fold at the end. Every executed
+/// probe step is added to `transitions`; `gov` is polled inside the probe.
+std::vector<State> chunk_starts(const Dfa& dfa, std::span<const Symbol> input,
+                                std::size_t boundary, std::size_t chunk_length,
+                                State first_state, bool convergence,
+                                std::uint64_t& transitions,
+                                const QueryGovernor* gov = nullptr);
 
 /// What counting honors of the unified options, and the validate_query
 /// context naming it — shared with Engine::count so it can reject a bad
@@ -157,8 +192,8 @@ inline constexpr const char* kStreamFindingContext =
 /// the window through `sink` with ABSOLUTE offsets (begin may predate the
 /// window — the carried separator). Windows of any size: large windows fan
 /// out over options.chunks finding-kernel runs (the window's first chunk
-/// continues from the carried state, later chunks speculate from every
-/// searcher state), with the join serialized per window. Feeding a text in
+/// continues from the carried state, later chunks from their chunk_starts
+/// within the window), with the join serialized per window. Feeding a text in
 /// any segmentation emits exactly the one-shot find_matches/serial-oracle
 /// list (property- and fuzz-tested). Empty windows are no-ops.
 /// Under options.begin_mode == BeginMode::kExact, `reverse` is REQUIRED and

@@ -21,6 +21,7 @@
 #include "engine/engine.hpp"
 #include "engine/pattern_set.hpp"
 #include "helpers.hpp"
+#include "parallel/match_count.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/prng.hpp"
 
@@ -357,6 +358,19 @@ TEST(PoolAdmission, BlockPolicyHonorsGovernorWhileWaiting) {
   const QueryGovernor governor(20ms, CancelToken{});
   EXPECT_THROW(occupied.pool.run(1, [](std::size_t) {}, &governor),
                DeadlineExceeded);
+}
+
+TEST(PoolAdmission, FindAndCountHonorGovernorWhileWaiting) {
+  // The queued query's own deadline trips long before the admission wait
+  // would time out into ResourceExhausted.
+  OccupiedPool occupied({.max_injected = 1, .policy = OverloadPolicy::kBlock,
+                         .block_timeout = 2s});
+  const Pattern pattern = Pattern::compile("ab");
+  const Dfa& searcher = pattern.searcher();
+  const auto input = searcher.symbols().translate("xxabyab");
+  const QueryOptions options{.deadline = 20ms};
+  EXPECT_THROW(find_matches(searcher, input, occupied.pool, options), DeadlineExceeded);
+  EXPECT_THROW(count_matches(searcher, input, occupied.pool, options), DeadlineExceeded);
 }
 
 TEST(PoolAdmission, BlockPolicyAdmitsOnceSpaceFrees) {
