@@ -1,7 +1,9 @@
 // Microbenchmarks of the reach-phase kernels: speculative deterministic
 // runs (fused vs reference implementation, independent vs convergent) and
 // the NFA frontier kernel, on one chunk of each benchmark group's
-// representative.
+// representative. The RID interface-start and single-run rows come twice:
+// over pre-translated symbols and over the raw bytes (the input every
+// one-shot query now feeds the kernels, translation included).
 //
 // Unless the caller passes --benchmark_out, results are also written as
 // machine-readable JSON to BENCH_chunk_kernels.json in the working
@@ -25,16 +27,18 @@ using namespace rispar;
 
 struct ChunkFixture {
   Pattern pattern;
-  std::vector<Symbol> chunk;
+  std::string text;
+  std::vector<Symbol> chunk;  ///< text translated with the pattern's map
   std::vector<State> dfa_starts;
   std::vector<State> nfa_starts;
 
   explicit ChunkFixture(const WorkloadSpec& spec, std::size_t bytes = 1u << 16)
       : pattern(Pattern::from_nfa(glushkov_nfa(spec.regex()))),
-        chunk([&] {
+        text([&] {
           Prng prng(stable_hash(spec.name) ^ 0xc0ffee);
-          return pattern.translate(spec.text(bytes, prng));
-        }()) {
+          return spec.text(bytes, prng);
+        }()),
+        chunk(pattern.translate(text)) {
     for (State s = 0; s < pattern.min_dfa().num_states(); ++s) dfa_starts.push_back(s);
     for (State s = 0; s < pattern.nfa().num_states(); ++s) nfa_starts.push_back(s);
   }
@@ -116,6 +120,26 @@ void BM_RidKernelInterfaceStarts(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * f.chunk.size()));
 }
 BENCHMARK(BM_RidKernelInterfaceStarts)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
+
+// The same chunk as raw bytes: the kernels class each byte through the
+// pattern's map as they read it (the bulk-recognize path).
+void BM_RidKernelInterfaceStartsBytes(benchmark::State& state) {
+  const ChunkFixture& f = bible_fixture();
+  const DetChunkOptions options{.kernel = kernel_from_range(state.range(0))};
+  const ByteSpan bytes{f.text, f.pattern.symbols()};
+  for (auto _ : state) {
+    const DetChunkResult result = run_chunk_det(
+        f.pattern.ridfa().dfa(), bytes, f.pattern.ridfa().initial_states(), options);
+    benchmark::DoNotOptimize(result.lambda.size());
+  }
+  state.SetLabel(std::string(kernel_name(kernel_from_range(state.range(0)))) + "/bytes");
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * f.text.size()));
+}
+BENCHMARK(BM_RidKernelInterfaceStartsBytes)
     ->Arg(0)
     ->Arg(1)
     ->Arg(2)
@@ -225,6 +249,19 @@ void BM_SingleDfaRun(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * f.chunk.size()));
 }
 BENCHMARK(BM_SingleDfaRun)->Unit(benchmark::kMillisecond);
+
+void BM_SingleDfaRunBytes(benchmark::State& state) {
+  // The same run over the raw bytes of the chunk.
+  const ChunkFixture& f = bible_fixture();
+  const std::vector<State> one{f.pattern.min_dfa().initial()};
+  const ByteSpan bytes{f.text, f.pattern.symbols()};
+  for (auto _ : state) {
+    const DetChunkResult result = run_chunk_det(f.pattern.min_dfa(), bytes, one);
+    benchmark::DoNotOptimize(result.transitions);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * f.text.size()));
+}
+BENCHMARK(BM_SingleDfaRunBytes)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

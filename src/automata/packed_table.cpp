@@ -53,6 +53,7 @@ PackedTable PackedTable::build(const std::vector<State>& table, std::int32_t num
     result.width_ = TableWidth::kI32;
     result.i32_ = pack_transposed<std::int32_t>(table, num_states, num_symbols);
   }
+  result.make_dead_column();
   return result;
 }
 
@@ -65,7 +66,23 @@ PackedTable PackedTable::adopt(TableWidth width, std::int32_t num_states,
   result.num_symbols_ = num_symbols;
   result.borrowed_ = entries;
   result.owner_ = std::move(owner);
+  result.make_dead_column();
   return result;
+}
+
+void PackedTable::make_dead_column() {
+  const auto make = [&](auto sentinel) {
+    using T = decltype(sentinel);
+    // The gather slack too: the SIMD kernels gather from this column.
+    auto column = std::make_shared<std::vector<T>>(
+        static_cast<std::size_t>(num_states_) + kGatherSlackEntries, sentinel);
+    dead_column_ = std::shared_ptr<const void>(column, column->data());
+  };
+  switch (width_) {
+    case TableWidth::kU8: return make(PackedDead<std::uint8_t>::value);
+    case TableWidth::kU16: return make(PackedDead<std::uint16_t>::value);
+    case TableWidth::kI32: return make(PackedDead<std::int32_t>::value);
+  }
 }
 
 std::uint64_t PackedTable::build_count() {

@@ -18,8 +18,16 @@
 // kDeadState (-1) for the int32 fallback. `PackedDead<T>::value` is the
 // sentinel of entry type T. Kernels are templated over T and dispatch on
 // `width()`.
+//
+// Next to its entries every table owns one all-dead column: num_states
+// sentinels plus the gather slack. It is the column the byte-input kernels
+// (parallel/kernel_input.hpp) give a byte that has no symbol, so an alien
+// byte kills every run at its lookup like any dead transition. build() and
+// adopt() allocate it; it is never serialized, so the bundle sections hold
+// exactly the entries above.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -112,7 +120,17 @@ class PackedTable {
     return data<T>() + static_cast<std::size_t>(symbol) * num_states_;
   }
 
+  /// The all-dead column: num_states() sentinels (and the gather slack), so
+  /// it can stand in for column(symbol) wherever a symbol has no column.
+  template <typename T>
+  const T* dead_column() const {
+    return static_cast<const T*>(dead_column_.get());
+  }
+
  private:
+  /// Allocates the all-dead column for the current width and num_states_.
+  void make_dead_column();
+
   TableWidth width_ = TableWidth::kI32;
   std::int32_t num_states_ = 0;
   std::int32_t num_symbols_ = 0;
@@ -122,6 +140,8 @@ class PackedTable {
   /// adopt() view: entries live in external storage kept alive by owner_.
   const void* borrowed_ = nullptr;
   std::shared_ptr<const void> owner_;
+  /// dead_column<T>(): shared by copies, like the entries of an adopted table.
+  std::shared_ptr<const void> dead_column_;
 };
 
 /// Result of a single run over a packed table: `end` is kDeadState when the
@@ -150,6 +170,39 @@ PackedRun run_packed_single(const PackedTable& table, State start, const Symbol*
     if (static_cast<std::uint32_t>(input[i]) >= limit) return {kDeadState, i};
     state = entries[static_cast<std::size_t>(input[i]) * n +
                     static_cast<std::size_t>(state)];
+    if (state == kDead) return {kDeadState, i};
+  }
+  return {static_cast<State>(state), length};
+}
+
+/// The byte input of the packed-table kernels: one column per byte value,
+/// built per kernel call from a SymbolMap. A byte whose symbol is kUnmapped
+/// (or outside the table's alphabet) gets the table's dead column, so the
+/// inner step is `state = columns[byte][state]` with no validity check.
+template <typename T>
+using ByteColumns = std::array<const T*, 256>;
+
+template <typename T>
+ByteColumns<T> byte_columns(const PackedTable& table, const SymbolMap& map) {
+  ByteColumns<T> columns;
+  const auto limit = static_cast<std::uint32_t>(table.num_symbols());
+  for (std::size_t byte = 0; byte < columns.size(); ++byte) {
+    const std::int32_t symbol = map.symbol_of(static_cast<unsigned char>(byte));
+    columns[byte] = static_cast<std::uint32_t>(symbol) < limit ? table.column<T>(symbol)
+                                                               : table.dead_column<T>();
+  }
+  return columns;
+}
+
+/// run_packed_single over raw bytes: the same result and accounting, with
+/// an alien byte dying at its dead-column lookup.
+template <typename T>
+PackedRun run_packed_bytes(const ByteColumns<T>& columns, State start, const char* input,
+                           std::size_t length) {
+  constexpr T kDead = PackedDead<T>::value;
+  T state = static_cast<T>(start);
+  for (std::size_t i = 0; i < length; ++i) {
+    state = columns[static_cast<unsigned char>(input[i])][state];
     if (state == kDead) return {kDeadState, i};
   }
   return {static_cast<State>(state), length};

@@ -56,11 +56,14 @@ class SymbolMap {
   }
 
   /// Translates a byte string into symbol ids (kUnmapped for alien bytes).
-  /// Guarantee used by the recognizers: every output symbol is either
-  /// kUnmapped or in [0, num_symbols()), so validating a translated chunk
-  /// is a single scan for out-of-range values (first_invalid_symbol below)
-  /// and the per-symbol range checks can be hoisted out of the kernels'
-  /// inner loops.
+  /// Guarantee used by the recognizers: every symbol of a byte is either
+  /// kUnmapped or in [0, num_symbols()). The symbol-span kernels therefore
+  /// validate a translated chunk with one scan for out-of-range values
+  /// (first_invalid_symbol below), and the byte-input kernels give every
+  /// byte outside the alphabet the packed table's dead column
+  /// (automata/packed_table.hpp) — neither checks ranges per step. The
+  /// one-shot entry points do not call this on the whole text: the kernels
+  /// class each chunk's bytes inside its pool task (ByteSpan).
   std::vector<std::int32_t> translate(std::string_view text) const;
 
   const std::array<std::int32_t, 256>& raw_table() const { return byte_to_symbol_; }
@@ -69,6 +72,31 @@ class SymbolMap {
   std::int32_t num_symbols_ = 0;
   std::array<std::int32_t, 256> byte_to_symbol_{};
   std::vector<unsigned char> reps_;
+};
+
+/// Raw text bytes with the map that classes them: the byte input of the
+/// chunk kernels (parallel/ca_run.hpp, parallel/match_count.hpp) and of
+/// Device::recognize. It mirrors the std::span calls the devices make on a
+/// symbol span, so one templated body serves both inputs.
+struct ByteSpan {
+  /// No default: an empty `{}` argument still means an empty symbol span.
+  ByteSpan(std::string_view text, const SymbolMap& symbols)
+      : bytes(text), map(&symbols) {}
+
+  std::string_view bytes;
+  const SymbolMap* map;
+
+  std::size_t size() const { return bytes.size(); }
+  bool empty() const { return bytes.empty(); }
+  ByteSpan subspan(std::size_t offset, std::size_t count) const {
+    return {bytes.substr(offset, count), *map};
+  }
+  ByteSpan first(std::size_t count) const { return subspan(0, count); }
+  /// The symbol of byte `i` (kUnmapped for an alien byte).
+  std::int32_t symbol(std::size_t i) const {
+    return map->symbol_of(static_cast<unsigned char>(bytes[i]));
+  }
+  std::vector<std::int32_t> translate() const { return map->translate(bytes); }
 };
 
 /// Index of the first symbol outside [0, num_symbols), or chunk.size() when

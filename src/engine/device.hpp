@@ -7,7 +7,8 @@
 // of each behind this base, so every query shape dispatches through the
 // same two virtuals:
 //
-//  * recognize()   — one-shot parallel recognition of a whole input;
+//  * recognize()   — one-shot parallel recognition of a whole input, as
+//    pre-translated symbols or as raw bytes (ByteSpan);
 //  * stream_feed() — consume one window of an unbounded input, carrying
 //    only the device-specific PLAS representation across windows (the
 //    paper's join condition applied at window granularity — feeding a text
@@ -96,6 +97,14 @@ class Device {
   /// capabilities(); Engine validates too, so direct callers and Engine
   /// users get the same contract.
   virtual QueryResult recognize(std::span<const Symbol> input, ThreadPool& pool,
+                                const QueryOptions& options) const = 0;
+
+  /// The same over raw bytes classed by `input.map` (the pattern's
+  /// SymbolMap): no symbol vector is built — each chunk's bytes are read by
+  /// the chunk kernels inside its pool task (parallel/ca_run.hpp), so the
+  /// options' deadline budgets the whole call. Equal to translating and
+  /// calling the span overload.
+  virtual QueryResult recognize(const ByteSpan& input, ThreadPool& pool,
                                 const QueryOptions& options) const = 0;
 
   /// Consumes the next window of a streamed input, updating `carry` in

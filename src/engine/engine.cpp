@@ -49,7 +49,10 @@ const Device& Engine::device(Variant variant) const {
 }
 
 QueryResult Engine::recognize(std::string_view text, const QueryOptions& options) const {
-  return recognize(pattern_.translate(text), options);
+  // Bytes in: the device's chunk tasks read the text through the pattern's
+  // map, so no symbol vector is built and the governor covers the whole call.
+  return device(options.variant).recognize(ByteSpan{text, pattern_.symbols()}, *pool_,
+                                           options);
 }
 
 QueryResult Engine::recognize(std::span<const Symbol> input,
@@ -59,21 +62,20 @@ QueryResult Engine::recognize(std::span<const Symbol> input,
 
 QueryResult Engine::count(std::string_view text, const QueryOptions& options) const {
   // Reject up front — before paying the lazy searcher build (determinize +
-  // minimize) and the full-text translation; count_matches re-validates.
+  // minimize); count_matches re-validates.
   validate_query(options, kCountingCaps, kCountingContext);
-  // The governor's clock starts BEFORE the lazy searcher build and the
-  // translation: the deadline budgets the whole call, not just the kernel.
+  // The governor's clock starts BEFORE the lazy searcher build: the
+  // deadline budgets the whole call, not just the kernel. The kernels read
+  // the bytes through the searcher's map inside their chunk tasks.
   const QueryGovernor governor(options.deadline, options.cancel);
   const Dfa& dfa = searcher();
   governor.poll();
-  const std::vector<Symbol> input = dfa.symbols().translate(text);
-  governor.poll();
-  return count_matches(dfa, input, *pool_, options, &governor);
+  return count_matches(dfa, ByteSpan{text, dfa.symbols()}, *pool_, options, &governor);
 }
 
 QueryResult Engine::find(std::string_view text, const QueryOptions& options) const {
-  // Reject up front, like count() — before the lazy searcher build and the
-  // full-text translation; find_matches re-validates.
+  // Reject up front, like count() — before the lazy searcher build;
+  // find_matches re-validates.
   validate_query(options, kFindingCaps, kFindingContext);
   const QueryGovernor governor(options.deadline, options.cancel);
   const Dfa& dfa = searcher();
@@ -85,10 +87,8 @@ QueryResult Engine::find(std::string_view text, const QueryOptions& options) con
           ? &pattern_.reverse_begins(config_.subset_budget)
           : nullptr;
   governor.poll();
-  const std::vector<Symbol> input = dfa.symbols().translate(text);
-  governor.poll();
-  return find_matches(dfa, input, *pool_, options, /*pattern_id=*/0, &governor,
-                      reverse);
+  return find_matches(dfa, ByteSpan{text, dfa.symbols()}, *pool_, options,
+                      /*pattern_id=*/0, &governor, reverse);
 }
 
 std::vector<Match> Engine::find_all(std::string_view text,
@@ -131,7 +131,7 @@ StreamSession Engine::resume_stream(std::string_view blob,
 std::vector<QueryResult> Engine::match_all(std::span<const std::string_view> texts,
                                            const QueryOptions& options) const {
   const Device& dev = device(options.variant);
-  // Fail before any text is translated; per-text recognize re-validates.
+  // Fail before any text runs; per-text recognize re-validates.
   validate_query(options, dev.capabilities(),
                  device_context("match_all", options.variant));
   std::vector<QueryResult> results(texts.size());
@@ -144,7 +144,7 @@ std::vector<QueryResult> Engine::match_all(std::span<const std::string_view> tex
   // governor below only paces admission blocking (OverloadPolicy::kBlock).
   const QueryGovernor batch_governor(options.deadline, options.cancel);
   pool_->run(texts.size(), [&](std::size_t i) {
-    results[i] = dev.recognize(pattern_.translate(texts[i]), *pool_, options);
+    results[i] = dev.recognize(ByteSpan{texts[i], pattern_.symbols()}, *pool_, options);
   }, batch_governor.active() ? &batch_governor : nullptr);
   return results;
 }

@@ -10,11 +10,14 @@
 //   auto session = engine.stream();                 // window-by-window
 //   engine.match_all(texts);                        // many texts, one pool
 //
-// All entry points accept raw bytes (std::string_view) and translate
-// internally; span<const Symbol> overloads exist for callers that translate
-// once and query many times (the bench drivers). The four devices — DFA,
-// NFA, RID, SFA — sit behind the polymorphic Device registry; options a
-// device cannot honor raise QueryError instead of being silently ignored.
+// All entry points accept raw bytes (std::string_view). The one-shot ones
+// (recognize, count, find, find_all, match_all) never materialize symbols:
+// the chunk kernels read each chunk's bytes through the map inside its pool
+// task. span<const Symbol> overloads are for pre-translated input — callers
+// that translate once and query many times (tests, the bench drivers). The
+// four devices — DFA, NFA, RID, SFA — sit behind the polymorphic Device
+// registry; options a device cannot honor raise QueryError instead of being
+// silently ignored.
 //
 // Concurrency: read-only queries (recognize/count/find/find_all/match_all)
 // are safe from concurrent threads on one shared Engine — the compiled
@@ -147,7 +150,7 @@ class Engine {
   StreamSession resume_stream(std::string_view blob,
                               const QueryOptions& options = {}) const;
 
-  /// Batch recognition: every text translated and recognized on the shared
+  /// Batch recognition: every text recognized (bytes in) on the shared
   /// pool (texts in parallel, chunks within a text inline), one QueryResult
   /// per text in input order.
   std::vector<QueryResult> match_all(std::span<const std::string_view> texts,

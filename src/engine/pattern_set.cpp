@@ -139,7 +139,7 @@ std::vector<QueryResult> PatternSet::find_all(std::span<const std::string_view> 
     const std::size_t t = task / n;
     const auto p = static_cast<std::uint32_t>(task % n);
     const Dfa& dfa = patterns_[p].searcher();
-    per_pair[task] = find_matches(dfa, dfa.symbols().translate(texts[t]), *pool_,
+    per_pair[task] = find_matches(dfa, ByteSpan{texts[t], dfa.symbols()}, *pool_,
                                   scan_options, p, nullptr,
                                   exact ? &patterns_[p].reverse_begins() : nullptr);
   };

@@ -6,6 +6,7 @@
 
 #include "automata/packed_table.hpp"
 #include "automata/symbol_map.hpp"
+#include "parallel/kernel_input.hpp"
 #include "util/simd_gather.hpp"
 
 namespace rispar {
@@ -105,51 +106,42 @@ DetChunkResult reference_convergent(const Dfa& dfa, std::span<const Symbol> chun
 
 // ---------------------------------------------------------------------------
 // Fused kernels — one pass over the chunk for all starts, on the packed
-// width-specialized table. Symbol validity is checked once up front, so the
-// inner loops perform unchecked lookups.
+// width-specialized table. Each is written once over a reader
+// (parallel/kernel_input.hpp): a symbol span or raw bytes. The reader gives
+// every unit a column — the dead column for an alien — so the inner loops
+// perform no validity checks.
 // ---------------------------------------------------------------------------
 
 constexpr std::uint32_t kNoMember = std::numeric_limits<std::uint32_t>::max();
 
-// Symbols are validated in windows of this size immediately before the
-// unchecked inner loops consume them, so a chunk whose runs all die early
-// never pays for validating its tail.
-constexpr std::size_t kValidateBlock = 512;
-
-// Validates chunk[pos, min(pos + kValidateBlock, size)) and returns
-// {valid_end, block_end}: symbols in [pos, valid_end) are in range, and
-// valid_end < block_end means chunk[valid_end] is an alien symbol.
-std::pair<std::size_t, std::size_t> validated_prefix(std::span<const Symbol> chunk,
-                                                     std::size_t pos,
-                                                     std::int32_t num_symbols) {
-  const std::size_t block_end = std::min(pos + kValidateBlock, chunk.size());
-  const std::size_t valid_end =
-      pos + first_invalid_symbol(chunk.subspan(pos, block_end - pos), num_symbols);
-  return {valid_end, block_end};
-}
+// The lockstep loops run in blocks of this many units, with the governance
+// checkpoint between blocks (and the SIMD lockstep translates/validates one
+// block at a time into its stack buffer).
+constexpr std::size_t kBlock = 512;
 
 // Scalar fast path for a single speculative start (chunk 1 of every device
-// and the serial ablations): run_packed_single, no SoA bookkeeping. Under
-// governance the chunk is consumed in kGovernorStride slices with a poll
-// between them — the ungoverned path keeps the one-call hot loop intact.
-template <typename T>
-DetChunkResult fused_single(const PackedTable& table, std::span<const Symbol> chunk,
-                            State start, const QueryGovernor* gov) {
+// and the serial ablations): one run over units [from, size), no SoA
+// bookkeeping. Under governance the run is consumed in kGovernorStride
+// slices with a poll between them — the ungoverned path keeps the one-call
+// hot loop intact.
+template <typename Reader>
+DetChunkResult fused_single(const Reader& in, std::size_t from, State start,
+                            const QueryGovernor* gov) {
   DetChunkResult result;
   if (gov == nullptr) {
-    const PackedRun run = run_packed_single<T>(table, start, chunk.data(), chunk.size());
+    const PackedRun run = in.run(start, from, in.size() - from);
     result.transitions = run.consumed;
     if (run.end != kDeadState) result.lambda.emplace_back(start, run.end);
     return result;
   }
   State state = start;
-  std::size_t pos = 0;
-  while (pos < chunk.size()) {
+  std::size_t pos = from;
+  while (pos < in.size()) {
     gov->poll();
-    const std::size_t len = std::min(kGovernorStride, chunk.size() - pos);
-    const PackedRun run = run_packed_single<T>(table, state, chunk.data() + pos, len);
+    const std::size_t len = std::min(kGovernorStride, in.size() - pos);
+    const PackedRun run = in.run(state, pos, len);
     result.transitions += run.consumed;
-    if (run.end == kDeadState) return result;  // died; killing symbol uncounted
+    if (run.end == kDeadState) return result;  // died; killing unit uncounted
     state = run.end;
     pos += len;
   }
@@ -158,18 +150,14 @@ DetChunkResult fused_single(const PackedTable& table, std::span<const Symbol> ch
 }
 
 // Lockstep SoA kernel (independent-run semantics): every live run advances
-// one symbol per round; dead runs are compacted out so the per-symbol cost
-// is O(live). The chunk is streamed exactly once regardless of |starts|.
-template <typename T>
-DetChunkResult fused_lockstep(const PackedTable& table, std::span<const Symbol> chunk,
-                              std::span<const State> starts,
+// one unit per round; dead runs are compacted out so the per-unit cost is
+// O(live). The chunk is streamed exactly once regardless of |starts|.
+template <typename T, typename Reader>
+DetChunkResult fused_lockstep(const Reader& in, std::span<const State> starts,
                               const QueryGovernor* gov) {
-  if (starts.size() == 1) return fused_single<T>(table, chunk, starts[0], gov);
+  if (starts.size() == 1) return fused_single(in, 0, starts[0], gov);
 
   constexpr T kDead = PackedDead<T>::value;
-  const T* entries = table.data<T>();
-  const auto n = static_cast<std::size_t>(table.num_states());
-
   DetChunkResult result;
   std::vector<T> state(starts.size());
   std::vector<std::uint32_t> origin(starts.size());  // index into starts
@@ -181,24 +169,23 @@ DetChunkResult fused_lockstep(const PackedTable& table, std::span<const Symbol> 
   std::size_t live = starts.size();
   std::size_t pos = 0;
   std::size_t next_poll = kGovernorStride;  // governance checkpoint position
-  while (pos < chunk.size() && live > 0) {
+  while (pos < in.size() && live > 0) {
     if (gov != nullptr && pos >= next_poll) {
       gov->poll();
       next_poll = pos + kGovernorStride;
     }
     if (live == 1) {
       // Lone survivor: finish with the scalar loop (no SoA bookkeeping).
-      DetChunkResult tail = fused_single<T>(table, chunk.subspan(pos),
-                                            static_cast<State>(state[0]), gov);
+      DetChunkResult tail = fused_single(in, pos, static_cast<State>(state[0]), gov);
       result.transitions += tail.transitions;
       if (!tail.lambda.empty())
         result.lambda.emplace_back(starts[origin[0]], tail.lambda.front().second);
       return result;
     }
-    const auto [valid_end, block_end] = validated_prefix(chunk, pos, table.num_symbols());
-    for (; pos < valid_end && live > 1; ++pos) {
-      // Symbol-major layout: one column base per symbol, no per-run multiply.
-      const T* col = entries + static_cast<std::size_t>(chunk[pos]) * n;
+    const std::size_t block_end = std::min(pos + kBlock, in.size());
+    for (; pos < block_end && live > 1; ++pos) {
+      // Symbol-major layout: one column base per unit, no per-run multiply.
+      const T* col = in.column(pos);
       std::size_t write = 0;
       for (std::size_t i = 0; i < live; ++i) {
         const T next = col[state[i]];
@@ -207,11 +194,9 @@ DetChunkResult fused_lockstep(const PackedTable& table, std::span<const Symbol> 
         origin[write] = origin[i];
         ++write;
       }
-      result.transitions += write;  // one per run surviving this symbol
+      result.transitions += write;  // one per run surviving this unit
       live = write;
     }
-    if (live > 1 && pos == valid_end && valid_end < block_end)
-      return result;  // alien symbol at pos: every run dies uncounted
   }
 
   result.lambda.reserve(live);
@@ -221,17 +206,16 @@ DetChunkResult fused_lockstep(const PackedTable& table, std::span<const Symbol> 
   return result;
 }
 
-// Epoch-stamped convergent kernel. Collision detection per symbol uses a
+// Epoch-stamped convergent kernel. Collision detection per unit uses a
 // dense state→group stamp array (the epoch counter makes clearing free) and
 // group membership is a flat head/tail/next-pointer scheme over start
 // indices, so merging two groups is a constant-time splice — no hashing, no
 // allocation anywhere in the loop.
-template <typename T>
-DetChunkResult fused_convergent(const PackedTable& table, std::span<const Symbol> chunk,
+template <typename T, typename Reader>
+DetChunkResult fused_convergent(const PackedTable& table, const Reader& in,
                                 std::span<const State> starts,
                                 const QueryGovernor* gov) {
   constexpr T kDead = PackedDead<T>::value;
-  const T* entries = table.data<T>();
   const auto num_states = static_cast<std::size_t>(table.num_states());
 
   DetChunkResult result;
@@ -244,7 +228,7 @@ DetChunkResult fused_convergent(const PackedTable& table, std::span<const Symbol
 
   // stamp[s] == epoch ⇔ state s already owns a group this round; group_at[s]
   // is that group's index. Epochs start at 1 so the zero-filled array means
-  // "unseen"; 64-bit so one increment per symbol can never wrap.
+  // "unseen"; 64-bit so one increment per unit can never wrap.
   std::vector<std::uint64_t> stamp(num_states, 0);
   std::vector<std::uint32_t> group_at(num_states);
   std::uint64_t epoch = 1;
@@ -267,7 +251,7 @@ DetChunkResult fused_convergent(const PackedTable& table, std::span<const Symbol
 
   std::size_t pos = 0;
   std::size_t next_poll = kGovernorStride;  // governance checkpoint position
-  while (pos < chunk.size() && groups > 0) {
+  while (pos < in.size() && groups > 0) {
     if (gov != nullptr && pos >= next_poll) {
       gov->poll();
       next_poll = pos + kGovernorStride;
@@ -275,8 +259,8 @@ DetChunkResult fused_convergent(const PackedTable& table, std::span<const Symbol
     if (groups == 1) {
       // All runs converged: finish with the scalar loop and scatter the one
       // end state over the group's members.
-      DetChunkResult tail = fused_single<T>(table, chunk.subspan(pos),
-                                            static_cast<State>(group_state[0]), gov);
+      DetChunkResult tail =
+          fused_single(in, pos, static_cast<State>(group_state[0]), gov);
       result.transitions += tail.transitions;
       if (tail.lambda.empty()) return result;  // the merged run died
       const State end = tail.lambda.front().second;
@@ -287,9 +271,9 @@ DetChunkResult fused_convergent(const PackedTable& table, std::span<const Symbol
         if (end_of[i] != kDeadState) result.lambda.emplace_back(starts[i], end_of[i]);
       return result;
     }
-    const auto [valid_end, block_end] = validated_prefix(chunk, pos, table.num_symbols());
-    for (; pos < valid_end && groups > 1; ++pos) {
-      const T* col = entries + static_cast<std::size_t>(chunk[pos]) * num_states;
+    const std::size_t block_end = std::min(pos + kBlock, in.size());
+    for (; pos < block_end && groups > 1; ++pos) {
+      const T* col = in.column(pos);
       ++epoch;
       std::size_t write = 0;
       for (std::size_t g = 0; g < groups; ++g) {
@@ -313,8 +297,6 @@ DetChunkResult fused_convergent(const PackedTable& table, std::span<const Symbol
       }
       groups = write;
     }
-    if (groups > 0 && pos == valid_end && valid_end < block_end)
-      return result;  // alien symbol at pos: every run dies uncounted
   }
 
   result.distinct_ends.reserve(groups);
@@ -331,34 +313,28 @@ DetChunkResult fused_convergent(const PackedTable& table, std::span<const Symbol
   return result;
 }
 
-template <typename T>
-DetChunkResult run_fused(const PackedTable& table, std::span<const Symbol> chunk,
-                         std::span<const State> starts, bool convergence,
-                         const QueryGovernor* gov) {
-  return convergence ? fused_convergent<T>(table, chunk, starts, gov)
-                     : fused_lockstep<T>(table, chunk, starts, gov);
-}
-
 // ---------------------------------------------------------------------------
 // SIMD kernels — the lockstep structure of the fused kernels, but every
-// symbol advances the whole live block through one vector gather
+// unit advances the whole live block through one vector gather
 // (util/simd_gather.hpp) instead of N dependent scalar column loads. States
 // live in an i32 SoA vector (the gather index type), dead runs are
-// compacted out after every symbol so the gather block stays dense, and the
+// compacted out after every unit so the gather block stays dense, and the
 // scalar single-run tail is shared with the fused kernels — accounting and
 // λ emission are bit-identical across all three implementations.
 // ---------------------------------------------------------------------------
 
 // Lockstep gather kernel (independent-run semantics). Mirrors
-// fused_lockstep symbol for symbol; the whole inner loop over a validated
-// symbol window — column gathers, survivor tests, dead-run compaction,
+// fused_lockstep unit for unit; the whole inner loop over a validated
+// symbol block — column gathers, survivor tests, dead-run compaction,
 // transition accounting — is one backend call (simd::AdvanceSpanFn), so
-// per-symbol work never crosses the dispatch boundary.
-template <typename T>
-DetChunkResult simd_lockstep(const PackedTable& table, std::span<const Symbol> chunk,
+// per-symbol work never crosses the dispatch boundary. The backend takes
+// symbols, so byte input is translated one block at a time into a stack
+// buffer first.
+template <typename T, typename Reader>
+DetChunkResult simd_lockstep(const PackedTable& table, const Reader& in,
                              std::span<const State> starts,
                              const QueryGovernor* gov) {
-  if (starts.size() == 1) return fused_single<T>(table, chunk, starts[0], gov);
+  if (starts.size() == 1) return fused_single(in, 0, starts[0], gov);
 
   const simd::AdvanceSpanFn advance = simd::advance_span_fn<T>(simd::gather_ops());
   const T* entries = table.data<T>();
@@ -372,28 +348,31 @@ DetChunkResult simd_lockstep(const PackedTable& table, std::span<const Symbol> c
     origin[i] = static_cast<std::uint32_t>(i);
   }
 
+  Symbol buffer[kBlock];
   std::size_t live = starts.size();
   std::size_t pos = 0;
   std::size_t next_poll = kGovernorStride;  // governance checkpoint position
-  while (pos < chunk.size() && live > 0) {
+  while (pos < in.size() && live > 0) {
     if (gov != nullptr && pos >= next_poll) {
       gov->poll();
       next_poll = pos + kGovernorStride;
     }
     if (live == 1) {
       // Lone survivor: finish with the scalar loop (no SoA bookkeeping).
-      DetChunkResult tail = fused_single<T>(table, chunk.subspan(pos),
-                                            static_cast<State>(state[0]), gov);
+      DetChunkResult tail = fused_single(in, pos, static_cast<State>(state[0]), gov);
       result.transitions += tail.transitions;
       if (!tail.lambda.empty())
         result.lambda.emplace_back(starts[origin[0]], tail.lambda.front().second);
       return result;
     }
-    const auto [valid_end, block_end] = validated_prefix(chunk, pos, table.num_symbols());
-    pos += advance(entries, n, chunk.data() + pos, valid_end - pos, state.data(),
-                   origin.data(), live, result.transitions);
-    if (live > 1 && pos == valid_end && valid_end < block_end)
-      return result;  // alien symbol at pos: every run dies uncounted
+    const std::size_t length = std::min(kBlock, in.size() - pos);
+    std::size_t valid = 0;
+    const Symbol* symbols = in.symbols(pos, length, buffer, valid);
+    const std::size_t consumed = advance(entries, n, symbols, valid, state.data(),
+                                         origin.data(), live, result.transitions);
+    pos += consumed;
+    if (live > 1 && consumed == valid && valid < length)
+      return result;  // alien unit at pos: every run dies uncounted
   }
 
   result.lambda.reserve(live);
@@ -403,18 +382,17 @@ DetChunkResult simd_lockstep(const PackedTable& table, std::span<const Symbol> c
   return result;
 }
 
-// Gather-fed convergent kernel: the per-symbol advance of all live groups
-// is one vector gather IN PLACE over the group-state vector (the gather
+// Gather-fed convergent kernel: the per-unit advance of all live groups is
+// one vector gather IN PLACE over the group-state vector (the gather
 // contract allows out == idx); the epoch-stamped merge bookkeeping of
 // fused_convergent then runs over the advanced states. Group order, member
 // splice order and the emitted λ are identical to the fused kernel.
-template <typename T>
-DetChunkResult simd_convergent(const PackedTable& table, std::span<const Symbol> chunk,
+template <typename T, typename Reader>
+DetChunkResult simd_convergent(const PackedTable& table, const Reader& in,
                                std::span<const State> starts,
                                const QueryGovernor* gov) {
   constexpr std::int32_t kDeadWide = PackedWideDead<T>;
   const simd::GatherFn gather = simd::gather_fn<T>(simd::gather_ops());
-  const T* entries = table.data<T>();
   const auto num_states = static_cast<std::size_t>(table.num_states());
 
   DetChunkResult result;
@@ -445,7 +423,7 @@ DetChunkResult simd_convergent(const PackedTable& table, std::span<const Symbol>
 
   std::size_t pos = 0;
   std::size_t next_poll = kGovernorStride;  // governance checkpoint position
-  while (pos < chunk.size() && groups > 0) {
+  while (pos < in.size() && groups > 0) {
     if (gov != nullptr && pos >= next_poll) {
       gov->poll();
       next_poll = pos + kGovernorStride;
@@ -453,8 +431,8 @@ DetChunkResult simd_convergent(const PackedTable& table, std::span<const Symbol>
     if (groups == 1) {
       // All runs converged: finish with the scalar loop and scatter the one
       // end state over the group's members.
-      DetChunkResult scalar_tail = fused_single<T>(
-          table, chunk.subspan(pos), static_cast<State>(group_state[0]), gov);
+      DetChunkResult scalar_tail =
+          fused_single(in, pos, static_cast<State>(group_state[0]), gov);
       result.transitions += scalar_tail.transitions;
       if (scalar_tail.lambda.empty()) return result;  // the merged run died
       const State end = scalar_tail.lambda.front().second;
@@ -465,10 +443,11 @@ DetChunkResult simd_convergent(const PackedTable& table, std::span<const Symbol>
         if (end_of[i] != kDeadState) result.lambda.emplace_back(starts[i], end_of[i]);
       return result;
     }
-    const auto [valid_end, block_end] = validated_prefix(chunk, pos, table.num_symbols());
-    for (; pos < valid_end && groups > 1; ++pos) {
-      const T* col = entries + static_cast<std::size_t>(chunk[pos]) * num_states;
-      gather(col, group_state.data(), groups, group_state.data());
+    const std::size_t block_end = std::min(pos + kBlock, in.size());
+    for (; pos < block_end && groups > 1; ++pos) {
+      // An alien unit gathers from the dead column (which carries the
+      // gather slack too), so every group dies.
+      gather(in.column(pos), group_state.data(), groups, group_state.data());
       ++epoch;
       // The merge loop reads group_state[g] (the advanced value) before any
       // write to slot g: write <= g throughout, and the write at g is the
@@ -495,8 +474,6 @@ DetChunkResult simd_convergent(const PackedTable& table, std::span<const Symbol>
       }
       groups = write;
     }
-    if (groups > 0 && pos == valid_end && valid_end < block_end)
-      return result;  // alien symbol at pos: every run dies uncounted
   }
 
   result.distinct_ends.reserve(groups);
@@ -513,12 +490,33 @@ DetChunkResult simd_convergent(const PackedTable& table, std::span<const Symbol>
   return result;
 }
 
-template <typename T>
-DetChunkResult run_simd(const PackedTable& table, std::span<const Symbol> chunk,
-                        std::span<const State> starts, bool convergence,
-                        const QueryGovernor* gov) {
-  return convergence ? simd_convergent<T>(table, chunk, starts, gov)
-                     : simd_lockstep<T>(table, chunk, starts, gov);
+// run_chunk_det for either input: kReference steps the chunk's symbols (a
+// byte chunk is translated here, in the calling task); the packed kernels
+// read the input through its reader.
+template <typename Input>
+DetChunkResult run_det(const Dfa& dfa, const Input& chunk, std::span<const State> starts,
+                       const DetChunkOptions& options) {
+  // Normalize so the kernels only test a single pointer: inactive
+  // governors (no deadline, no token) cost nothing inside the loops.
+  const QueryGovernor* gov =
+      options.governor != nullptr && options.governor->active() ? options.governor
+                                                                : nullptr;
+  if (options.kernel == DetKernel::kReference) {
+    std::vector<Symbol> buffer;
+    const std::span<const Symbol> symbols = detail::chunk_symbols(chunk, buffer);
+    return options.convergence ? reference_convergent(dfa, symbols, starts, gov)
+                               : reference_independent(dfa, symbols, starts, gov);
+  }
+  const PackedTable& table = dfa.packed();
+  return detail::with_width(table, [&](auto width) {
+    using T = decltype(width);
+    const auto in = detail::reader<T>(table, chunk);
+    if (options.kernel == DetKernel::kSimd)
+      return options.convergence ? simd_convergent<T>(table, in, starts, gov)
+                                 : simd_lockstep<T>(table, in, starts, gov);
+    return options.convergence ? fused_convergent<T>(table, in, starts, gov)
+                               : fused_lockstep<T>(in, starts, gov);
+  });
 }
 
 }  // namespace
@@ -535,36 +533,13 @@ const char* kernel_name(DetKernel kernel) {
 DetChunkResult run_chunk_det(const Dfa& dfa, std::span<const Symbol> chunk,
                              std::span<const State> starts,
                              const DetChunkOptions& options) {
-  // Normalize so the kernels only test a single pointer: inactive
-  // governors (no deadline, no token) cost nothing inside the loops.
-  const QueryGovernor* gov =
-      options.governor != nullptr && options.governor->active() ? options.governor
-                                                                : nullptr;
-  if (options.kernel == DetKernel::kReference) {
-    return options.convergence ? reference_convergent(dfa, chunk, starts, gov)
-                               : reference_independent(dfa, chunk, starts, gov);
-  }
-  const PackedTable& table = dfa.packed();
-  if (options.kernel == DetKernel::kSimd) {
-    switch (table.width()) {
-      case TableWidth::kU8:
-        return run_simd<std::uint8_t>(table, chunk, starts, options.convergence, gov);
-      case TableWidth::kU16:
-        return run_simd<std::uint16_t>(table, chunk, starts, options.convergence, gov);
-      case TableWidth::kI32:
-        break;
-    }
-    return run_simd<std::int32_t>(table, chunk, starts, options.convergence, gov);
-  }
-  switch (table.width()) {
-    case TableWidth::kU8:
-      return run_fused<std::uint8_t>(table, chunk, starts, options.convergence, gov);
-    case TableWidth::kU16:
-      return run_fused<std::uint16_t>(table, chunk, starts, options.convergence, gov);
-    case TableWidth::kI32:
-      break;
-  }
-  return run_fused<std::int32_t>(table, chunk, starts, options.convergence, gov);
+  return run_det(dfa, chunk, starts, options);
+}
+
+DetChunkResult run_chunk_det(const Dfa& dfa, const ByteSpan& chunk,
+                             std::span<const State> starts,
+                             const DetChunkOptions& options) {
+  return run_det(dfa, chunk, starts, options);
 }
 
 NfaChunkResult run_chunk_nfa(const Nfa& nfa, std::span<const Symbol> chunk,

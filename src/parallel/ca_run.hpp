@@ -1,10 +1,23 @@
 // Reach-phase kernels: the speculative chunk runs of the three CSDPA
 // variants (paper Sect. 2 and 3.2).
 //
-// Each kernel consumes one chunk of the symbol stream from a set of starting
+// Each kernel consumes one chunk of the input from a set of starting
 // states and returns the partial mapping λ_i = { (start, end) : the run from
 // `start` survives the whole chunk }, together with the executed-transition
 // count. Runs that die early simply do not appear in λ.
+//
+// ## Two input sources
+//
+// A chunk arrives either as pre-translated symbols (std::span<const Symbol>:
+// streaming windows, tests, callers that translate once) or as raw text
+// bytes with the SymbolMap that classes them (ByteSpan: every one-shot
+// entry point — Engine::recognize/match_all through Device::recognize). The
+// byte input never materializes a symbol vector: the packed kernels build a
+// 256-entry byte → column table per call and step `state =
+// column[byte][state]` (parallel/kernel_input.hpp), so translation runs
+// inside the pool task that runs the chunk. kReference translates its own
+// chunk inside the task and steps the symbols. Both inputs give identical
+// λ, distinct_ends and transitions (tests/test_byte_input.cpp).
 //
 // ## Transition accounting (the convention, stated once)
 //
@@ -19,7 +32,9 @@
 //    work saved, not work done);
 //  * under run convergence, merged runs count as ONE live run from the
 //    merge point on (that is the saving being measured);
-//  * an out-of-alphabet symbol kills every run without being counted;
+//  * an out-of-alphabet symbol kills every run without being counted; so
+//    does an alien byte (one whose symbol is SymbolMap::kUnmapped): it reads
+//    the packed table's all-dead column, so every run dies at its lookup;
 //  * the NFA frontier simulation counts every edge traversal (each element
 //    of ρ(s, a) applied to each frontier member);
 //  * look-back probe runs (csdpa.cpp) are real speculative work and are
@@ -37,8 +52,8 @@
 //    an epoch-stamped dense state→group array and splices member lists
 //    through a flat next-pointer scheme, so group merging never allocates.
 //    Both run on the width-specialized packed table (automata/
-//    packed_table.hpp) and validate the chunk's symbols once up front
-//    (first_invalid_symbol) instead of per step.
+//    packed_table.hpp); an alien unit reads the table's dead column, so
+//    the inner loops carry no validity check.
 //  * kSimd — the same lockstep structure, but each symbol advances the
 //    whole live block through ONE vector gather over the packed column
 //    (util/simd_gather.hpp: AVX2 vpgatherdd with i32-widened indices for
@@ -47,7 +62,9 @@
 //    rejects). Dead runs are compacted out of the index vector after every
 //    symbol so the gather block stays dense; convergent mode gathers the
 //    group states and reuses the epoch-stamped merge bookkeeping on the
-//    gathered buffer. Results are bit-identical to kFused/kReference.
+//    gathered buffer. The lockstep backend takes validated symbols, so
+//    byte input is translated one ≤512-byte block at a time into a stack
+//    buffer. Results are bit-identical to kFused/kReference.
 //  * kReference — the seed implementations (start-at-a-time independent
 //    runs; unordered_map convergence), kept as the oracle for the property
 //    tests and for A/B benchmarks.
@@ -104,6 +121,13 @@ struct DetChunkOptions {
 /// Advances every state in `starts` over `chunk`. See the header comment
 /// for accounting and implementation selection.
 DetChunkResult run_chunk_det(const Dfa& dfa, std::span<const Symbol> chunk,
+                             std::span<const State> starts,
+                             const DetChunkOptions& options = {});
+
+/// The same over raw bytes classed by `chunk.map` (typically the pattern's
+/// SymbolMap, the one `dfa` was built over): equal to translating the chunk
+/// and running the symbol overload.
+DetChunkResult run_chunk_det(const Dfa& dfa, const ByteSpan& chunk,
                              std::span<const State> starts,
                              const DetChunkOptions& options = {});
 

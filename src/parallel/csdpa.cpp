@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "parallel/chunking.hpp"
+#include "parallel/kernel_input.hpp"
 #include "util/stopwatch.hpp"
 
 namespace rispar {
@@ -93,8 +94,9 @@ DfaDevice::DfaDevice(const Dfa& dfa) : dfa_(dfa) {
   for (State s = 0; s < dfa.num_states(); ++s) all_states_.push_back(s);
 }
 
-QueryResult DfaDevice::recognize(std::span<const Symbol> input, ThreadPool& pool,
-                                 const QueryOptions& options) const {
+template <typename Input>
+QueryResult DfaDevice::recognize_input(const Input& input, ThreadPool& pool,
+                                       const QueryOptions& options) const {
   validate_query(options, capabilities(), device_context("recognize", variant()));
   if (input.empty()) return empty_input_result(dfa_.is_final(dfa_.initial()));
 
@@ -193,6 +195,16 @@ QueryResult DfaDevice::recognize(std::span<const Symbol> input, ThreadPool& pool
   return stats;
 }
 
+QueryResult DfaDevice::recognize(std::span<const Symbol> input, ThreadPool& pool,
+                                 const QueryOptions& options) const {
+  return recognize_input(input, pool, options);
+}
+
+QueryResult DfaDevice::recognize(const ByteSpan& input, ThreadPool& pool,
+                                 const QueryOptions& options) const {
+  return recognize_input(input, pool, options);
+}
+
 void DfaDevice::stream_window(StreamCarry& carry, std::span<const Symbol> window,
                               ThreadPool& pool, const QueryOptions& options,
                               const QueryGovernor* governor) const {
@@ -227,8 +239,9 @@ NfaDevice::NfaDevice(const Nfa& nfa) : nfa_(nfa) {
   for (State s = 0; s < nfa.num_states(); ++s) all_states_.push_back(s);
 }
 
-QueryResult NfaDevice::recognize(std::span<const Symbol> input, ThreadPool& pool,
-                                 const QueryOptions& options) const {
+template <typename Input>
+QueryResult NfaDevice::recognize_input(const Input& input, ThreadPool& pool,
+                                       const QueryOptions& options) const {
   validate_query(options, capabilities(), device_context("recognize", variant()));
   if (input.empty()) return empty_input_result(nfa_.is_final(nfa_.initial()));
 
@@ -247,7 +260,8 @@ QueryResult NfaDevice::recognize(std::span<const Symbol> input, ThreadPool& pool
     const std::span<const State> starts =
         (i == 0) ? std::span<const State>(first_start)
                  : std::span<const State>(all_states_);
-    results[i] = run_chunk_nfa(nfa_, span, starts, gov);
+    std::vector<Symbol> buffer;  // a byte chunk is translated here, on the pool
+    results[i] = run_chunk_nfa(nfa_, detail::chunk_symbols(span, buffer), starts, gov);
   }, gov);
   stats.reach_seconds = reach_clock.seconds();
 
@@ -268,6 +282,16 @@ QueryResult NfaDevice::recognize(std::span<const Symbol> input, ThreadPool& pool
   stats.accepted = plas.intersects(nfa_.finals());
   stats.join_seconds = join_clock.seconds();
   return stats;
+}
+
+QueryResult NfaDevice::recognize(std::span<const Symbol> input, ThreadPool& pool,
+                                 const QueryOptions& options) const {
+  return recognize_input(input, pool, options);
+}
+
+QueryResult NfaDevice::recognize(const ByteSpan& input, ThreadPool& pool,
+                                 const QueryOptions& options) const {
+  return recognize_input(input, pool, options);
 }
 
 void NfaDevice::stream_window(StreamCarry& carry, std::span<const Symbol> window,
@@ -305,8 +329,9 @@ RidDevice::RidDevice(const Ridfa& ridfa) : ridfa_(ridfa) {
   ridfa.dfa().packed();  // warm the cache so pool workers never pay the build
 }
 
-QueryResult RidDevice::recognize(std::span<const Symbol> input, ThreadPool& pool,
-                                 const QueryOptions& options) const {
+template <typename Input>
+QueryResult RidDevice::recognize_input(const Input& input, ThreadPool& pool,
+                                       const QueryOptions& options) const {
   validate_query(options, capabilities(), device_context("recognize", variant()));
   const Dfa& ca = ridfa_.dfa();
   if (input.empty()) return empty_input_result(ridfa_.is_final(ridfa_.start_state()));
@@ -365,6 +390,16 @@ QueryResult RidDevice::recognize(std::span<const Symbol> input, ThreadPool& pool
     }
   stats.join_seconds = join_clock.seconds();
   return stats;
+}
+
+QueryResult RidDevice::recognize(std::span<const Symbol> input, ThreadPool& pool,
+                                 const QueryOptions& options) const {
+  return recognize_input(input, pool, options);
+}
+
+QueryResult RidDevice::recognize(const ByteSpan& input, ThreadPool& pool,
+                                 const QueryOptions& options) const {
+  return recognize_input(input, pool, options);
 }
 
 void RidDevice::stream_window(StreamCarry& carry, std::span<const Symbol> window,
@@ -442,8 +477,9 @@ State SfaDevice::run_chunk(std::span<const Symbol> chunk,
   return sfa_.all_dead_state().value_or(kDeadState);
 }
 
-QueryResult SfaDevice::recognize(std::span<const Symbol> input, ThreadPool& pool,
-                                 const QueryOptions& options) const {
+template <typename Input>
+QueryResult SfaDevice::recognize_input(const Input& input, ThreadPool& pool,
+                                       const QueryOptions& options) const {
   validate_query(options, capabilities(), device_context("recognize", variant()));
   if (input.empty()) return empty_input_result(ca_.is_final(ca_.initial()));
 
@@ -462,7 +498,10 @@ QueryResult SfaDevice::recognize(std::span<const Symbol> input, ThreadPool& pool
   std::vector<std::uint64_t> counts(chunks.size(), 0);
   pool.run(chunks.size(), [&](std::size_t i) {
     if (gov != nullptr) gov->poll();  // chunk boundary
-    arrivals[i] = run_chunk(input.subspan(chunks[i].begin, chunks[i].length), counts[i]);
+    std::vector<Symbol> buffer;  // a byte chunk is translated here, on the pool
+    arrivals[i] = run_chunk(
+        detail::chunk_symbols(input.subspan(chunks[i].begin, chunks[i].length), buffer),
+        counts[i]);
   }, gov);
   stats.reach_seconds = reach_clock.seconds();
 
@@ -479,6 +518,16 @@ QueryResult SfaDevice::recognize(std::span<const Symbol> input, ThreadPool& pool
   stats.accepted = state != kDeadState && ca_.is_final(state);
   stats.join_seconds = join_clock.seconds();
   return stats;
+}
+
+QueryResult SfaDevice::recognize(std::span<const Symbol> input, ThreadPool& pool,
+                                 const QueryOptions& options) const {
+  return recognize_input(input, pool, options);
+}
+
+QueryResult SfaDevice::recognize(const ByteSpan& input, ThreadPool& pool,
+                                 const QueryOptions& options) const {
+  return recognize_input(input, pool, options);
 }
 
 void SfaDevice::stream_window(StreamCarry& carry, std::span<const Symbol> window,

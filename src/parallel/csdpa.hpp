@@ -18,7 +18,9 @@
 // Acceptance: PLAS_c contains a final state. The SFA instead runs one
 // mapping-valued chunk automaton per chunk and composes the mappings.
 // recognize() returns the decision plus the overhead metrics the paper
-// reports (transition counts, per-phase wall times); stream_feed() applies
+// reports (transition counts, per-phase wall times) for a symbol span or
+// raw bytes (ByteSpan — the chunk kernels class each chunk's bytes inside
+// its pool task, parallel/ca_run.hpp); stream_feed() applies
 // the same join condition at window granularity so texts larger than
 // memory recognize window by window with O(|PLAS|) carry-over.
 #pragma once
@@ -52,6 +54,8 @@ class DfaDevice : public Device {
 
   QueryResult recognize(std::span<const Symbol> input, ThreadPool& pool,
                         const QueryOptions& options) const override;
+  QueryResult recognize(const ByteSpan& input, ThreadPool& pool,
+                        const QueryOptions& options) const override;
   bool stream_accepted(const StreamCarry& carry) const override;
 
  protected:
@@ -60,6 +64,11 @@ class DfaDevice : public Device {
                      const QueryGovernor* governor) const override;
 
  private:
+  /// The one recognize body, for either input.
+  template <typename Input>
+  QueryResult recognize_input(const Input& input, ThreadPool& pool,
+                              const QueryOptions& options) const;
+
   const Dfa& dfa_;
   std::vector<State> all_states_;  ///< speculative start set = Q
 };
@@ -74,6 +83,8 @@ class NfaDevice : public Device {
 
   QueryResult recognize(std::span<const Symbol> input, ThreadPool& pool,
                         const QueryOptions& options) const override;
+  QueryResult recognize(const ByteSpan& input, ThreadPool& pool,
+                        const QueryOptions& options) const override;
   bool stream_accepted(const StreamCarry& carry) const override;
 
  protected:
@@ -82,6 +93,11 @@ class NfaDevice : public Device {
                      const QueryGovernor* governor) const override;
 
  private:
+  /// The one recognize body, for either input.
+  template <typename Input>
+  QueryResult recognize_input(const Input& input, ThreadPool& pool,
+                              const QueryOptions& options) const;
+
   const Nfa& nfa_;
   std::vector<State> all_states_;
 };
@@ -97,6 +113,8 @@ class RidDevice : public Device {
 
   QueryResult recognize(std::span<const Symbol> input, ThreadPool& pool,
                         const QueryOptions& options) const override;
+  QueryResult recognize(const ByteSpan& input, ThreadPool& pool,
+                        const QueryOptions& options) const override;
   bool stream_accepted(const StreamCarry& carry) const override;
 
  protected:
@@ -105,6 +123,11 @@ class RidDevice : public Device {
                      const QueryGovernor* governor) const override;
 
  private:
+  /// The one recognize body, for either input.
+  template <typename Input>
+  QueryResult recognize_input(const Input& input, ThreadPool& pool,
+                              const QueryOptions& options) const;
+
   const Ridfa& ridfa_;
 };
 
@@ -123,6 +146,8 @@ class SfaDevice : public Device {
 
   QueryResult recognize(std::span<const Symbol> input, ThreadPool& pool,
                         const QueryOptions& options) const override;
+  QueryResult recognize(const ByteSpan& input, ThreadPool& pool,
+                        const QueryOptions& options) const override;
   bool stream_accepted(const StreamCarry& carry) const override;
 
  protected:
@@ -131,6 +156,11 @@ class SfaDevice : public Device {
                      const QueryGovernor* governor) const override;
 
  private:
+  /// The one recognize body, for either input.
+  template <typename Input>
+  QueryResult recognize_input(const Input& input, ThreadPool& pool,
+                              const QueryOptions& options) const;
+
   /// Arrival SFA state of one chunk; kDeadState when the chunk contains an
   /// alien symbol and the all-dead mapping was never interned (total chunk
   /// automaton) — the composition must still die.

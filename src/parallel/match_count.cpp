@@ -6,6 +6,7 @@
 #include <type_traits>
 
 #include "parallel/chunking.hpp"
+#include "parallel/kernel_input.hpp"
 #include "util/simd_gather.hpp"
 #include "util/stopwatch.hpp"
 
@@ -82,31 +83,34 @@ struct FindChunk {
 };
 
 /// Step policy of the reference finding kernel: plain row-table lookups
-/// with the per-symbol range check, the oracle-side implementation.
+/// over the chunk's symbols with the per-symbol range check, the
+/// oracle-side implementation.
 struct RowStep {
   const Dfa& dfa;
+  std::span<const Symbol> symbols;
   Symbol symbol = 0;
 
-  bool prepare(Symbol a) {
-    symbol = a;
-    return a >= 0 && a < dfa.num_symbols();
+  std::size_t size() const { return symbols.size(); }
+  bool prepare(std::size_t pos) {
+    symbol = symbols[pos];
+    return symbol >= 0 && symbol < dfa.num_symbols();
   }
   State advance(State state) const { return dfa.row(state)[symbol]; }
 };
 
 /// Step policy of the fused finding kernel: the width-packed symbol-major
-/// table, one column base per symbol hoisted out of the per-run loop
-/// (same mechanism as the lockstep kernels in ca_run.cpp).
-template <typename T>
+/// table read through a kernel-input reader (symbols or bytes), one column
+/// base per unit hoisted out of the per-run loop (same mechanism as the
+/// lockstep kernels in ca_run.cpp). An alien unit reads the dead column,
+/// so every run dies at its lookup.
+template <typename T, typename Reader>
 struct PackedStep {
-  const PackedTable& table;
+  const Reader& in;
   const T* column = nullptr;
 
-  bool prepare(Symbol a) {
-    if (static_cast<std::uint32_t>(a) >=
-        static_cast<std::uint32_t>(table.num_symbols()))
-      return false;
-    column = table.column<T>(a);
+  std::size_t size() const { return in.size(); }
+  bool prepare(std::size_t pos) {
+    column = in.column(pos);
     return true;
   }
   State advance(State state) const {
@@ -122,8 +126,7 @@ struct PackedStep {
 /// point on, and the merge forest itself is returned so the join resolves
 /// only the consistent start's chain.
 template <bool kConvergent, typename Hits, typename Step>
-FindChunk<Hits> find_chunk(const Dfa& dfa, std::span<const Symbol> span,
-                           std::span<const State> starts, Step step,
+FindChunk<Hits> find_chunk(const Dfa& dfa, std::span<const State> starts, Step step,
                            const QueryGovernor* gov) {
   const State initial = dfa.initial();
   FindChunk<Hits> chunk;
@@ -144,10 +147,10 @@ FindChunk<Hits> find_chunk(const Dfa& dfa, std::span<const Symbol> span,
 
   std::int64_t pos = 0;
   GovPoll poll(gov);
-  for (const Symbol symbol : span) {
+  for (std::size_t unit = 0; unit < step.size(); ++unit) {
     poll.step();
     if (active.empty()) break;
-    if (!step.prepare(symbol)) {
+    if (!step.prepare(unit)) {
       // Alien symbol: every run dies without the symbol being counted.
       for (const std::int32_t idx : active)
         chunk.nodes[static_cast<std::size_t>(idx)].dead = true;
@@ -199,14 +202,10 @@ FindChunk<Hits> find_chunk(const Dfa& dfa, std::span<const Symbol> span,
 /// accounting find_chunk emits for the same single start — it is the
 /// fused/SIMD path of every chunk whose start set collapsed to one state,
 /// and of every c=1 window.
-template <typename Hits, typename T>
-FindChunk<Hits> scan_chunk(const Dfa& dfa, const PackedTable& table,
-                           std::span<const Symbol> span, State start,
+template <typename Hits, typename T, typename Reader>
+FindChunk<Hits> scan_chunk(const Dfa& dfa, const Reader& in, State start,
                            const QueryGovernor* gov) {
   constexpr T kDead = PackedDead<T>::value;
-  const T* entries = table.data<T>();
-  const auto n = static_cast<std::size_t>(table.num_states());
-  const auto limit = static_cast<std::uint32_t>(table.num_symbols());
   const State initial = dfa.initial();
   const Bitset& finals = dfa.finals();
 
@@ -216,17 +215,11 @@ FindChunk<Hits> scan_chunk(const Dfa& dfa, const PackedTable& table,
   std::int64_t last_sep = start == initial ? 0 : -1;
   std::size_t pos = 0;
   GovPoll poll(gov);
-  for (; pos < span.size(); ++pos) {
+  for (; pos < in.size(); ++pos) {
     poll.step();
-    const Symbol symbol = span[pos];
-    if (static_cast<std::uint32_t>(symbol) >= limit) {
-      node.dead = true;  // alien symbol: not counted
-      break;
-    }
-    const T next = entries[static_cast<std::size_t>(symbol) * n +
-                           static_cast<std::size_t>(state)];
+    const T next = in.column(pos)[static_cast<std::size_t>(state)];
     if (next == kDead) {
-      node.dead = true;  // the dying symbol is not counted
+      node.dead = true;  // the dying (or alien) unit is not counted
       break;
     }
     state = static_cast<State>(next);
@@ -312,16 +305,13 @@ void join_find_chunks(const std::vector<FindChunk<Hits>>& runs,
 /// next state, the separator update is a conditional move, and the only
 /// branch left on the common path is the rare hit push. Emits node fields,
 /// accounting and merge forests bit-identical to the scalar kernels.
-template <bool kConvergent, typename Hits, typename T>
-FindChunk<Hits> find_chunk_simd(const Dfa& dfa, const PackedTable& table,
-                                std::span<const Symbol> span,
+template <bool kConvergent, typename Hits, typename T, typename Reader>
+FindChunk<Hits> find_chunk_simd(const Dfa& dfa, const Reader& in,
                                 std::span<const State> starts,
                                 const QueryGovernor* gov) {
   constexpr std::int32_t kDeadWide = PackedWideDead<T>;
   const simd::GatherFn gather = simd::gather_fn<T>(simd::gather_ops());
-  const T* entries = table.data<T>();
-  const auto n = static_cast<std::size_t>(table.num_states());
-  const auto limit = static_cast<std::uint32_t>(table.num_symbols());
+  const auto n = static_cast<std::size_t>(dfa.num_states());
   const State initial = dfa.initial();
 
   // flag[s]: bit 0 = final (record a hit), bit 1 = initial (new separator).
@@ -350,21 +340,14 @@ FindChunk<Hits> find_chunk_simd(const Dfa& dfa, const PackedTable& table,
 
   std::int64_t pos = 0;
   GovPoll poll(gov);
-  for (const Symbol symbol : span) {
+  for (std::size_t unit = 0; unit < in.size(); ++unit) {
     poll.step();
     if (active.empty()) break;
-    if (static_cast<std::uint32_t>(symbol) >= limit) {
-      // Alien symbol: every run dies without the symbol being counted.
-      for (const std::int32_t idx : active)
-        chunk.nodes[static_cast<std::size_t>(idx)].dead = true;
-      active.clear();
-      break;
-    }
-    const T* col = entries + static_cast<std::size_t>(symbol) * n;
     // In-place gather (the contract allows out == idx): astate[a] becomes
     // the advanced state; the bookkeeping below reads slot a before the
-    // compaction writes slot `write` <= a.
-    gather(col, astate.data(), active.size(), astate.data());
+    // compaction writes slot `write` <= a. An alien unit gathers from the
+    // dead column, so every run dies uncounted.
+    gather(in.column(unit), astate.data(), active.size(), astate.data());
     ++pos;
     if constexpr (kConvergent) touched.clear();
     std::size_t write = 0;
@@ -412,39 +395,32 @@ FindChunk<Hits> find_chunk_simd(const Dfa& dfa, const PackedTable& table,
   return chunk;
 }
 
-/// Calls fn(T{}) with the entry type T the packed table was built at.
-template <typename Fn>
-decltype(auto) with_width(const PackedTable& table, Fn&& fn) {
-  switch (table.width()) {
-    case TableWidth::kU8:
-      return fn(std::uint8_t{});
-    case TableWidth::kU16:
-      return fn(std::uint16_t{});
-    case TableWidth::kI32:
-      break;
-  }
-  return fn(std::int32_t{});
-}
-
 /// The kernel `kernel` names for one chunk, instantiated for the hit store
 /// and the convergence flag: kReference steps the row table for any number
 /// of starts; on the packed table a single start takes scan_chunk, several
 /// take the SIMD gather (kSimd, from 8 starts — below one gather block it
 /// would pay a dispatch per symbol for a scalar tail) or the fused step
-/// policy. Results are bit-identical whichever kernel runs.
-template <typename Hits, bool kConvergent>
-FindChunk<Hits> dispatch_chunk(const Dfa& dfa, std::span<const Symbol> span,
+/// policy. Results are bit-identical whichever kernel runs. The packed
+/// kernels read `span` through its reader (symbols or bytes); kReference
+/// steps symbols, translating a byte chunk here, in the chunk's task.
+template <typename Hits, bool kConvergent, typename Input>
+FindChunk<Hits> dispatch_chunk(const Dfa& dfa, const Input& span,
                                std::span<const State> starts, DetKernel kernel,
                                const QueryGovernor* gov) {
-  if (kernel == DetKernel::kReference)
-    return find_chunk<kConvergent, Hits>(dfa, span, starts, RowStep{dfa}, gov);
+  if (kernel == DetKernel::kReference) {
+    std::vector<Symbol> buffer;
+    const RowStep step{dfa, detail::chunk_symbols(span, buffer)};
+    return find_chunk<kConvergent, Hits>(dfa, starts, step, gov);
+  }
   const PackedTable& table = dfa.packed();
-  return with_width(table, [&](auto width) {
+  return detail::with_width(table, [&](auto width) {
     using T = decltype(width);
-    if (starts.size() == 1) return scan_chunk<Hits, T>(dfa, table, span, starts[0], gov);
+    const auto in = detail::reader<T>(table, span);
+    if (starts.size() == 1) return scan_chunk<Hits, T>(dfa, in, starts[0], gov);
     if (kernel == DetKernel::kSimd && starts.size() >= 8)
-      return find_chunk_simd<kConvergent, Hits, T>(dfa, table, span, starts, gov);
-    return find_chunk<kConvergent, Hits>(dfa, span, starts, PackedStep<T>{table}, gov);
+      return find_chunk_simd<kConvergent, Hits, T>(dfa, in, starts, gov);
+    const PackedStep<T, decltype(in)> step{in};
+    return find_chunk<kConvergent, Hits>(dfa, starts, step, gov);
   });
 }
 
@@ -452,14 +428,17 @@ FindChunk<Hits> dispatch_chunk(const Dfa& dfa, std::span<const Symbol> span,
 /// steps taken to `transitions`: the lockstep kernel over a HitCount store,
 /// so runs die, merge (with `convergence`) and count exactly as in a chunk
 /// run. A merged run follows its parent, so only unmerged live runs count.
-std::vector<State> reached_states(const Dfa& dfa, std::span<const Symbol> window,
+template <typename Input>
+std::vector<State> reached_states(const Dfa& dfa, const Input& window,
                                   std::span<const State> starts, bool convergence,
                                   std::uint64_t& transitions, const QueryGovernor* gov) {
   const PackedTable& table = dfa.packed();
-  const FindChunk<HitCount> run = with_width(table, [&](auto width) {
-    const PackedStep<decltype(width)> step{table};
-    return convergence ? find_chunk<true, HitCount>(dfa, window, starts, step, gov)
-                       : find_chunk<false, HitCount>(dfa, window, starts, step, gov);
+  const FindChunk<HitCount> run = detail::with_width(table, [&](auto width) {
+    using T = decltype(width);
+    const auto in = detail::reader<T>(table, window);
+    const PackedStep<T, decltype(in)> step{in};
+    return convergence ? find_chunk<true, HitCount>(dfa, starts, step, gov)
+                       : find_chunk<false, HitCount>(dfa, starts, step, gov);
   });
   transitions += run.transitions;
   std::vector<State> states;
@@ -470,83 +449,12 @@ std::vector<State> reached_states(const Dfa& dfa, std::span<const Symbol> window
   return states;
 }
 
-/// The reach phase shared by every query shape: each chunk runs from the
-/// start set chunk_starts leaves at its boundary — chunk 0 from the single
-/// `first_state` (the initial state one-shot, the carried state when
-/// streaming), later chunks from the survivors of their lookback probe.
-template <typename Hits>
-std::vector<FindChunk<Hits>> reach_chunks(const Dfa& dfa, std::span<const Symbol> input,
-                                          std::span<const ChunkSpan> chunks,
-                                          State first_state, ThreadPool& pool,
-                                          const QueryOptions& options,
-                                          const QueryGovernor* gov) {
-  std::vector<FindChunk<Hits>> runs(chunks.size());
-  const auto run_chunk = [&](std::size_t i) {
-    if (gov != nullptr) gov->poll();  // chunk boundary: the universal checkpoint
-    std::uint64_t probed = 0;
-    std::vector<State> starts =
-        chunk_starts(dfa, input, chunks[i].begin, chunks[i].length, first_state,
-                     options.convergence, probed, gov);
-    const auto span = input.subspan(chunks[i].begin, chunks[i].length);
-    runs[i] = options.convergence
-                  ? dispatch_chunk<Hits, true>(dfa, span, starts, options.kernel, gov)
-                  : dispatch_chunk<Hits, false>(dfa, span, starts, options.kernel, gov);
-    runs[i].transitions += probed;
-    runs[i].starts = std::move(starts);
-  };
-  pool.run(chunks.size(), run_chunk, gov);
-  return runs;
-}
-
-/// Resolves the governor an entry point runs under: an explicit one from
-/// the caller (a streaming device sharing its per-feed clock), else one
-/// built from the options — normalized to nullptr when inactive so the
-/// kernels and the per-task polls stay free.
-const QueryGovernor* resolve_governor(const QueryGovernor* provided,
-                                      const QueryGovernor& own) {
-  const QueryGovernor* gov = provided != nullptr ? provided : &own;
-  return gov->active() ? gov : nullptr;
-}
-
-/// BeginMode::kExact confirmation pass: runs the reversed pattern DFA
-/// backwards from `end` over `text` down to `floor`, returning the SMALLEST
-/// b with text[b..end) ∈ L(p). The forward searcher guaranteed some
-/// occurrence ends at `end`, and the floor is sound (the approximate begin
-/// under a separators_sound certificate, the text/history start otherwise),
-/// so a final state is always visited; `fallback` only guards a corrupt
-/// artifact. Positions are indices into `text` — the caller maps absolute
-/// offsets onto it.
-std::uint64_t resolve_exact_begin(const Dfa& rev, std::span<const Symbol> text,
-                                  std::uint64_t end, std::uint64_t floor,
-                                  std::uint64_t fallback) {
-  State state = rev.initial();
-  std::uint64_t best = fallback;
-  if (rev.is_final(state)) best = end;  // ε ∈ L(p): the empty occurrence at end
-  for (std::uint64_t b = end; b > floor; --b) {
-    const Symbol symbol = text[static_cast<std::size_t>(b - 1)];
-    if (symbol < 0 || symbol >= rev.num_symbols()) break;
-    state = rev.row(state)[symbol];
-    if (state == kDeadState) break;
-    if (rev.is_final(state)) best = b - 1;
-  }
-  return best;
-}
-
-/// The validation shared by the exact-begin entry points: the knob needs
-/// the pattern's cached artifact threaded in.
-void require_reverse(const ReverseBegins* reverse, const char* context) {
-  if (reverse == nullptr)
-    throw ValidationError(std::string(context) +
-                          ": begin_mode=exact requires the pattern's "
-                          "reverse-begins artifact");
-}
-
-}  // namespace
-
-std::vector<State> chunk_starts(const Dfa& dfa, std::span<const Symbol> input,
-                                std::size_t boundary, std::size_t chunk_length,
-                                State first_state, bool convergence,
-                                std::uint64_t& transitions, const QueryGovernor* gov) {
+/// chunk_starts (match_count.hpp) for either input.
+template <typename Input>
+std::vector<State> lookback_starts(const Dfa& dfa, const Input& input,
+                                   std::size_t boundary, std::size_t chunk_length,
+                                   State first_state, bool convergence,
+                                   std::uint64_t& transitions, const QueryGovernor* gov) {
   if (boundary == 0) return {first_state};
   const auto num_states = static_cast<std::size_t>(dfa.num_states());
   const auto all_states = [&] {
@@ -577,9 +485,82 @@ std::vector<State> chunk_starts(const Dfa& dfa, std::span<const Symbol> input,
   return starts.empty() ? all_states() : starts;
 }
 
-QueryResult count_matches(const Dfa& dfa, std::span<const Symbol> input,
-                          ThreadPool& pool, const QueryOptions& options,
-                          const QueryGovernor* governor) {
+/// The reach phase shared by every query shape: each chunk runs from the
+/// start set chunk_starts leaves at its boundary — chunk 0 from the single
+/// `first_state` (the initial state one-shot, the carried state when
+/// streaming), later chunks from the survivors of their lookback probe.
+template <typename Hits, typename Input>
+std::vector<FindChunk<Hits>> reach_chunks(const Dfa& dfa, const Input& input,
+                                          std::span<const ChunkSpan> chunks,
+                                          State first_state, ThreadPool& pool,
+                                          const QueryOptions& options,
+                                          const QueryGovernor* gov) {
+  std::vector<FindChunk<Hits>> runs(chunks.size());
+  const auto run_chunk = [&](std::size_t i) {
+    if (gov != nullptr) gov->poll();  // chunk boundary: the universal checkpoint
+    std::uint64_t probed = 0;
+    std::vector<State> starts =
+        lookback_starts(dfa, input, chunks[i].begin, chunks[i].length, first_state,
+                        options.convergence, probed, gov);
+    const auto span = input.subspan(chunks[i].begin, chunks[i].length);
+    runs[i] = options.convergence
+                  ? dispatch_chunk<Hits, true>(dfa, span, starts, options.kernel, gov)
+                  : dispatch_chunk<Hits, false>(dfa, span, starts, options.kernel, gov);
+    runs[i].transitions += probed;
+    runs[i].starts = std::move(starts);
+  };
+  pool.run(chunks.size(), run_chunk, gov);
+  return runs;
+}
+
+/// Resolves the governor an entry point runs under: an explicit one from
+/// the caller (a streaming device sharing its per-feed clock), else one
+/// built from the options — normalized to nullptr when inactive so the
+/// kernels and the per-task polls stay free.
+const QueryGovernor* resolve_governor(const QueryGovernor* provided,
+                                      const QueryGovernor& own) {
+  const QueryGovernor* gov = provided != nullptr ? provided : &own;
+  return gov->active() ? gov : nullptr;
+}
+
+/// BeginMode::kExact confirmation pass: runs the reversed pattern DFA
+/// backwards from `end` over `text` down to `floor`, returning the SMALLEST
+/// b with text[b..end) ∈ L(p). The forward searcher guaranteed some
+/// occurrence ends at `end`, and the floor is sound (the approximate begin
+/// under a separators_sound certificate, the text/history start otherwise),
+/// so a final state is always visited; `fallback` only guards a corrupt
+/// artifact. Positions are indices into `text` — the caller maps absolute
+/// offsets onto it. A byte text maps through its own map (the searcher's,
+/// which the reverse DFA shares).
+template <typename Input>
+std::uint64_t resolve_exact_begin(const Dfa& rev, const Input& text, std::uint64_t end,
+                                  std::uint64_t floor, std::uint64_t fallback) {
+  State state = rev.initial();
+  std::uint64_t best = fallback;
+  if (rev.is_final(state)) best = end;  // ε ∈ L(p): the empty occurrence at end
+  for (std::uint64_t b = end; b > floor; --b) {
+    const Symbol symbol = detail::symbol_at(text, static_cast<std::size_t>(b - 1));
+    if (symbol < 0 || symbol >= rev.num_symbols()) break;
+    state = rev.row(state)[symbol];
+    if (state == kDeadState) break;
+    if (rev.is_final(state)) best = b - 1;
+  }
+  return best;
+}
+
+/// The validation shared by the exact-begin entry points: the knob needs
+/// the pattern's cached artifact threaded in.
+void require_reverse(const ReverseBegins* reverse, const char* context) {
+  if (reverse == nullptr)
+    throw ValidationError(std::string(context) +
+                          ": begin_mode=exact requires the pattern's "
+                          "reverse-begins artifact");
+}
+
+/// count_matches for either input.
+template <typename Input>
+QueryResult count_input(const Dfa& dfa, const Input& input, ThreadPool& pool,
+                        const QueryOptions& options, const QueryGovernor* governor) {
   validate_query(options, kCountingCaps, kCountingContext);
   const QueryGovernor own(options.deadline, options.cancel);
   const QueryGovernor* gov = resolve_governor(governor, own);
@@ -608,6 +589,85 @@ QueryResult count_matches(const Dfa& dfa, std::span<const Symbol> input,
   result.accepted = result.matches > 0;
   result.join_seconds = join_clock.seconds();
   return result;
+}
+
+/// find_matches for either input.
+template <typename Input>
+QueryResult find_input(const Dfa& dfa, const Input& input, ThreadPool& pool,
+                       const QueryOptions& options, std::uint32_t pattern_id,
+                       const QueryGovernor* governor, const ReverseBegins* reverse) {
+  validate_query(options, kFindingCaps, kFindingContext);
+  const bool exact = options.begin_mode == BeginMode::kExact;
+  if (exact) require_reverse(reverse, "find");
+  const QueryGovernor own(options.deadline, options.cancel);
+  const QueryGovernor* gov = resolve_governor(governor, own);
+  QueryResult result;
+  if (input.empty()) return result;
+
+  const auto chunks = split_chunks(input.size(), options.chunks);
+  result.chunks = chunks.size();
+
+  Stopwatch reach_clock;
+  const auto runs = reach_chunks<std::vector<FindHit>>(dfa, input, chunks, dfa.initial(),
+                                                       pool, options, gov);
+  result.reach_seconds = reach_clock.seconds();
+
+  // Join: walk the unique consistent path, resolving each hit's begin
+  // (join_find_chunks). Paging trims the emitted window but never the
+  // count. Transition accounting: parallel/ca_run.hpp.
+  Stopwatch join_clock;
+  for (const auto& run : runs) result.transitions += run.transitions;
+  State state = dfa.initial();
+  std::uint64_t carried_sep = 0;  // global: position 0 is always a separator
+  join_find_chunks(runs, chunks, 0, state, carried_sep, result.died,
+                   [&](std::uint64_t begin, std::uint64_t end) {
+                     if (result.matches >= options.offset &&
+                         result.positions.size() < options.limit) {
+                       // Exact begins: confirm backwards from the end. The
+                       // approximate begin is a sound scan floor only when
+                       // the artifact certifies separators pure; otherwise
+                       // the occurrence may straddle it and the scan runs
+                       // to the text start.
+                       if (exact)
+                         begin = resolve_exact_begin(
+                             reverse->dfa, input, end,
+                             reverse->separators_sound ? begin : 0, begin);
+                       result.positions.push_back({pattern_id, begin, end});
+                     }
+                     ++result.matches;
+                   });
+  result.accepted = result.matches > 0;
+  result.join_seconds = join_clock.seconds();
+  return result;
+}
+
+}  // namespace
+
+std::vector<State> chunk_starts(const Dfa& dfa, std::span<const Symbol> input,
+                                std::size_t boundary, std::size_t chunk_length,
+                                State first_state, bool convergence,
+                                std::uint64_t& transitions, const QueryGovernor* gov) {
+  return lookback_starts(dfa, input, boundary, chunk_length, first_state, convergence,
+                         transitions, gov);
+}
+
+std::vector<State> chunk_starts(const Dfa& dfa, const ByteSpan& input,
+                                std::size_t boundary, std::size_t chunk_length,
+                                State first_state, bool convergence,
+                                std::uint64_t& transitions, const QueryGovernor* gov) {
+  return lookback_starts(dfa, input, boundary, chunk_length, first_state, convergence,
+                         transitions, gov);
+}
+
+QueryResult count_matches(const Dfa& dfa, std::span<const Symbol> input,
+                          ThreadPool& pool, const QueryOptions& options,
+                          const QueryGovernor* governor) {
+  return count_input(dfa, input, pool, options, governor);
+}
+
+QueryResult count_matches(const Dfa& dfa, const ByteSpan& input, ThreadPool& pool,
+                          const QueryOptions& options, const QueryGovernor* governor) {
+  return count_input(dfa, input, pool, options, governor);
 }
 
 QueryResult find_matches_serial(const Dfa& dfa, std::span<const Symbol> input,
@@ -652,49 +712,13 @@ QueryResult find_matches(const Dfa& dfa, std::span<const Symbol> input,
                          ThreadPool& pool, const QueryOptions& options,
                          std::uint32_t pattern_id, const QueryGovernor* governor,
                          const ReverseBegins* reverse) {
-  validate_query(options, kFindingCaps, kFindingContext);
-  const bool exact = options.begin_mode == BeginMode::kExact;
-  if (exact) require_reverse(reverse, "find");
-  const QueryGovernor own(options.deadline, options.cancel);
-  const QueryGovernor* gov = resolve_governor(governor, own);
-  QueryResult result;
-  if (input.empty()) return result;
+  return find_input(dfa, input, pool, options, pattern_id, governor, reverse);
+}
 
-  const auto chunks = split_chunks(input.size(), options.chunks);
-  result.chunks = chunks.size();
-
-  Stopwatch reach_clock;
-  const auto runs = reach_chunks<std::vector<FindHit>>(dfa, input, chunks, dfa.initial(),
-                                                       pool, options, gov);
-  result.reach_seconds = reach_clock.seconds();
-
-  // Join: walk the unique consistent path, resolving each hit's begin
-  // (join_find_chunks). Paging trims the emitted window but never the
-  // count. Transition accounting: parallel/ca_run.hpp.
-  Stopwatch join_clock;
-  for (const auto& run : runs) result.transitions += run.transitions;
-  State state = dfa.initial();
-  std::uint64_t carried_sep = 0;  // global: position 0 is always a separator
-  join_find_chunks(runs, chunks, 0, state, carried_sep, result.died,
-                   [&](std::uint64_t begin, std::uint64_t end) {
-                     if (result.matches >= options.offset &&
-                         result.positions.size() < options.limit) {
-                       // Exact begins: confirm backwards from the end. The
-                       // approximate begin is a sound scan floor only when
-                       // the artifact certifies separators pure; otherwise
-                       // the occurrence may straddle it and the scan runs
-                       // to the text start.
-                       if (exact)
-                         begin = resolve_exact_begin(
-                             reverse->dfa, input, end,
-                             reverse->separators_sound ? begin : 0, begin);
-                       result.positions.push_back({pattern_id, begin, end});
-                     }
-                     ++result.matches;
-                   });
-  result.accepted = result.matches > 0;
-  result.join_seconds = join_clock.seconds();
-  return result;
+QueryResult find_matches(const Dfa& dfa, const ByteSpan& input, ThreadPool& pool,
+                         const QueryOptions& options, std::uint32_t pattern_id,
+                         const QueryGovernor* governor, const ReverseBegins* reverse) {
+  return find_input(dfa, input, pool, options, pattern_id, governor, reverse);
 }
 
 void stream_find_feed(const Dfa& dfa, FindCarry& carry, std::span<const Symbol> window,

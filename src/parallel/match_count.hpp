@@ -43,6 +43,25 @@
 // util/simd_gather.hpp), and a plain row-table stepping loop (kReference)
 // — with find_matches_serial as the one-scan oracle above all three
 // (property-tested equal across every combination).
+//
+// ## Two input sources
+//
+// count_matches, find_matches and chunk_starts take the text either as
+// symbols already translated with the searcher's map (std::span<const
+// Symbol>: tests, benches, callers that translate once) or as raw bytes
+// with that map (ByteSpan: Engine::count/find/find_all and the one-shot
+// PatternSet find). The byte input never builds a symbol vector: the packed
+// kernels — scan_chunk, the fused and SIMD lockstep loops, and the lookback
+// probe of chunk_starts — step `state = column[byte][state]` through a
+// per-call 256-entry byte → column table (parallel/kernel_input.hpp), so
+// translation runs inside the chunk's pool task. kReference translates its
+// own chunk there and steps the symbols; exact begins map each byte
+// through the same map (the reverse DFA consumes searcher symbols). An
+// alien byte reads the packed table's dead column: every run dies at it
+// uncounted, exactly like an alien symbol, so both inputs give the same
+// matches, begins, `died` and transitions (tests/test_byte_input.cpp). The
+// searcher's map covers all 256 bytes, so on its own searcher no byte is
+// alien. Streaming (stream_find_feed) still takes translated windows.
 #pragma once
 
 #include <cstddef>
@@ -85,10 +104,16 @@ std::vector<State> chunk_starts(const Dfa& dfa, std::span<const Symbol> input,
                                 State first_state, bool convergence,
                                 std::uint64_t& transitions,
                                 const QueryGovernor* gov = nullptr);
+/// The same over raw bytes classed by `input.map`.
+std::vector<State> chunk_starts(const Dfa& dfa, const ByteSpan& input,
+                                std::size_t boundary, std::size_t chunk_length,
+                                State first_state, bool convergence,
+                                std::uint64_t& transitions,
+                                const QueryGovernor* gov = nullptr);
 
 /// What counting honors of the unified options, and the validate_query
 /// context naming it — shared with Engine::count so it can reject a bad
-/// query up front, before the searcher build and text translation.
+/// query up front, before the searcher build.
 inline constexpr DeviceCaps kCountingCaps{.convergence = true};
 inline constexpr const char* kCountingContext =
     "count (the finding kernel without positions; it honors chunks and "
@@ -109,10 +134,15 @@ QueryResult count_matches_serial(const Dfa& dfa, std::span<const Symbol> input);
 QueryResult count_matches(const Dfa& dfa, std::span<const Symbol> input,
                           ThreadPool& pool, const QueryOptions& options,
                           const QueryGovernor* governor = nullptr);
+/// The same over raw bytes classed by `input.map` (the searcher's own map,
+/// dfa.symbols(), for a Σ*p searcher).
+QueryResult count_matches(const Dfa& dfa, const ByteSpan& input, ThreadPool& pool,
+                          const QueryOptions& options,
+                          const QueryGovernor* governor = nullptr);
 
 /// What finding honors of the unified options (chunks, convergence, kernel,
 /// offset/limit paging) — shared with Engine::find / PatternSet so they can
-/// reject a bad query before the searcher build and text translation.
+/// reject a bad query before the searcher build.
 inline constexpr DeviceCaps kFindingCaps{.convergence = true,
                                          .kernel_select = true,
                                          .paging = true,
@@ -145,6 +175,12 @@ QueryResult find_matches_serial(const Dfa& dfa, std::span<const Symbol> input,
 QueryResult find_matches(const Dfa& dfa, std::span<const Symbol> input,
                          ThreadPool& pool, const QueryOptions& options,
                          std::uint32_t pattern_id = 0,
+                         const QueryGovernor* governor = nullptr,
+                         const ReverseBegins* reverse = nullptr);
+/// The same over raw bytes classed by `input.map` (dfa.symbols() for a Σ*p
+/// searcher).
+QueryResult find_matches(const Dfa& dfa, const ByteSpan& input, ThreadPool& pool,
+                         const QueryOptions& options, std::uint32_t pattern_id = 0,
                          const QueryGovernor* governor = nullptr,
                          const ReverseBegins* reverse = nullptr);
 

@@ -16,10 +16,10 @@
 //    shape honors, including the SFA comparator whose inner run is opaque;
 //  * every kGovernorStride symbols inside the per-symbol loops (reference,
 //    NFA, counting, finding kernels) via GovPoll;
-//  * after each validated block in the fused/SIMD lockstep loops, once the
-//    blocks accumulate to the stride — the blocks are kValidateBlock long,
-//    so the amortized cost stays under the documented <2% budget
-//    (docs/perf.md "Checkpoint polling granularity");
+//  * between the 512-unit blocks of the fused/SIMD lockstep loops, once
+//    the blocks accumulate to the stride, so the amortized cost stays under
+//    the documented <2% budget (docs/perf.md "Checkpoint polling
+//    granularity");
 //  * at every StreamSession window (per feed).
 //
 // A trip throws QueryCancelled or DeadlineExceeded from whichever worker

@@ -271,6 +271,43 @@ TEST(Governance, GovernedRunThatCompletesEqualsUngoverned) {
   }
 }
 
+// The same non-interference on byte input: one-shot recognize on a
+// string_view reads raw bytes in every chunk kernel, so an active governor
+// drives the sliced byte paths (fused_single's stride slices, the lockstep
+// block polls) — every variant and kernel must still return exactly the
+// ungoverned result, and the result of the pre-translated span.
+TEST(Governance, GovernedByteRunsEqualUngoverned) {
+  const CancelSource live;
+  Prng prng(0xB17Eu);
+  const Engine engine(Pattern::compile("[abc]*a[abc]"), {.threads = 2});
+  std::string text;
+  for (std::size_t i = 0; i < 3 * kGovernorStride + 17; ++i)
+    text.push_back("abc"[prng.pick_index(3)]);
+  const std::vector<Symbol> symbols = engine.translate(text);
+
+  for (const Variant variant : kVariants) {
+    const bool convergent = engine.device(variant).capabilities().convergence;
+    for (const DetKernel kernel : kernels_for(engine, variant)) {
+      for (const bool convergence : {false, true}) {
+        if (convergence && !convergent) continue;
+        for (const std::size_t chunks : {1u, 2u, 7u}) {
+          const QueryOptions plain{.variant = variant, .chunks = chunks,
+                                   .convergence = convergence, .kernel = kernel};
+          const QueryResult expected = engine.recognize(text, plain);
+          const QueryResult governed = engine.recognize(text, never_trips(plain, live));
+          const QueryResult spans = engine.recognize(symbols, plain);
+          EXPECT_EQ(expected.accepted, governed.accepted)
+              << variant_name(variant) << "/" << kernel_name(kernel) << " c=" << chunks;
+          EXPECT_EQ(expected.transitions, governed.transitions)
+              << variant_name(variant) << "/" << kernel_name(kernel) << " c=" << chunks;
+          EXPECT_EQ(expected.accepted, spans.accepted) << variant_name(variant);
+          EXPECT_EQ(expected.transitions, spans.transitions) << variant_name(variant);
+        }
+      }
+    }
+  }
+}
+
 TEST(Governance, GovernedFindEqualsUngoverned) {
   const CancelSource live;
   Prng prng(0xF00Du);
