@@ -180,6 +180,7 @@ void BM_MultiStreamFind(benchmark::State& state) {
 BENCHMARK(BM_MultiStreamFind)
     ->Args({64, 1, 0})
     ->Args({64, 1, 1})
+    ->Args({64, 4, 1})  // the serve-backfill shape: 64 KiB, c=4, kExact
     ->Args({64, 8, 0})
     ->Unit(benchmark::kMillisecond);
 

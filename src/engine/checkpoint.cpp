@@ -77,10 +77,11 @@ void encode_find_carry(const FindCarry& carry, std::string& out) {
 
 /// Decodes a find-carry image starting at `pos`, advancing `pos` past it.
 /// Fields violating the carry invariants (history covers exactly
-/// [history_base, consumed) when retained; last_sep <= consumed; a fresh
-/// carry has nothing consumed) throw ValidationError — a forged image
-/// surfaces as a typed error, never as an inconsistent session.
-FindCarry decode_find_carry(std::string_view image, std::size_t& pos) {
+/// [history_base, consumed) when retained — and, for a live kExact carry
+/// (`exact`), always, since its begins resolve over that tail; last_sep <=
+/// consumed; a fresh carry has nothing consumed) throw ValidationError — a
+/// forged image surfaces as a typed error, never as an inconsistent session.
+FindCarry decode_find_carry(std::string_view image, std::size_t& pos, bool exact) {
   FindCarry carry;
   carry.state = static_cast<State>(get_u32(image, pos));
   const std::uint8_t at_start = get_u8(image, pos);
@@ -103,8 +104,10 @@ FindCarry decode_find_carry(std::string_view image, std::size_t& pos) {
   if (carry.at_start && (carry.consumed != 0 || carry.died || history_size != 0))
     malformed_carry("fresh carry with consumed input");
   // The tail invariant: when retained, history covers [history_base,
-  // consumed) exactly (stream_find_feed maintains it every feed).
-  if (history_size != 0 && carry.history_base + history_size != carry.consumed)
+  // consumed) exactly (stream_find_feed maintains it every feed); a live
+  // kExact carry always retains it, even when the tail is empty.
+  if ((history_size != 0 || (exact && !carry.died)) &&
+      carry.history_base + history_size != carry.consumed)
     malformed_carry("history does not cover [history_base, consumed)");
   carry.history.reserve(history_size);
   for (std::uint64_t i = 0; i < history_size; ++i)
@@ -270,7 +273,8 @@ StreamCarry decode_stream(std::string_view blob, Variant variant,
   }
   if (carry.at_start && (!carry.states.empty() || carry.windows != 0))
     reject("at_start carry with fed windows");
-  carry.find = decode_find_carry(env.body, pos);
+  carry.find =
+      decode_find_carry(env.body, pos, options.begin_mode == BeginMode::kExact);
   if (pos != env.body.size()) reject("trailing bytes after carry image");
   return carry;
 }
@@ -304,7 +308,8 @@ MultiImage decode_multi(std::string_view blob, std::size_t expected_patterns,
            " carries, resuming fleet has " + std::to_string(expected_patterns) + ")");
   image.carries.reserve(npatterns);
   for (std::uint32_t i = 0; i < npatterns; ++i) {
-    FindCarry carry = decode_find_carry(env.body, pos);
+    FindCarry carry =
+        decode_find_carry(env.body, pos, options.begin_mode == BeginMode::kExact);
     // Every pattern of a merged session is fed the same windows, so each
     // carry's byte count must equal the session's.
     if (carry.consumed != image.consumed)

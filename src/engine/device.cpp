@@ -15,8 +15,8 @@ void Device::stream_feed(StreamCarry& carry, std::span<const Symbol> window,
   const QueryGovernor* gov = own.active() ? &own : nullptr;
   stream_window(carry, window, pool, options, gov);
   if (find == nullptr) return;
-  // The find side scans the same bytes re-translated with the searcher's
-  // all-bytes map; only the knobs streaming find honors are forwarded, so
+  // The find side reads the same bytes through the searcher's all-bytes
+  // map; only the knobs streaming find honors are forwarded, so
   // a device-only knob (a future one) can never leak into the kernel.
   QueryOptions find_options;
   find_options.chunks = options.chunks;

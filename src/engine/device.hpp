@@ -54,12 +54,14 @@ struct StreamCarry {
 
 /// The find side of one streamed window: the Σ*p searcher runs on its OWN
 /// all-bytes SymbolMap, so the window arrives twice — device-translated
-/// for the decision, searcher-translated here (one symbol per byte; both
-/// spans cover the same bytes, so they have equal length). Matches emit
-/// through `sink` as they are joined, with absolute byte offsets.
+/// for the decision, and here as the raw bytes with the searcher's map
+/// (both cover the same bytes, so they have equal length). The find
+/// kernels read the bytes in place; no searcher-symbol window is built.
+/// Matches emit through `sink` as they are joined, with absolute byte
+/// offsets.
 struct StreamFindWindow {
   const Dfa& searcher;
-  std::span<const Symbol> window;
+  ByteSpan window;
   const MatchSink& sink;
   std::uint32_t pattern_id = 0;
   /// Required under QueryOptions::begin_mode == BeginMode::kExact: the

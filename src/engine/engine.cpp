@@ -198,14 +198,14 @@ void StreamSession::feed(std::string_view bytes, const MatchSink& sink) {
   try {
     // The decision and the find side consume the same bytes through two
     // maps: the pattern's classes for the device carry, the searcher's
-    // all-bytes map (one symbol per byte) for position emission.
+    // all-bytes map for position emission — read in place by the find
+    // kernels, never translated as a whole window.
     const Dfa& searcher = pattern_.searcher();
-    const std::vector<Symbol> find_window = searcher.symbols().translate(bytes);
     const ReverseBegins* reverse = options_.begin_mode == BeginMode::kExact
                                        ? &pattern_.reverse_begins()
                                        : nullptr;
-    const StreamFindWindow find{searcher, find_window, sink, /*pattern_id=*/0,
-                                reverse};
+    const StreamFindWindow find{searcher, ByteSpan(bytes, searcher.symbols()), sink,
+                                /*pattern_id=*/0, reverse};
     if (dead()) {
       // The decision already died — its window would no-op anyway, so skip
       // the device-side translation (the tailing steady state: only the

@@ -245,19 +245,20 @@ void MultiStreamSession::feed_merged(std::string_view bytes, const MatchSink& si
     const QueryGovernor governor(options_.deadline, options_.cancel);
     const QueryGovernor* gov = governor.active() ? &governor : nullptr;
 
-    // Fan one streaming-find task per pattern; each translates the window
-    // with its own searcher map and collects into a private buffer (the
-    // merge below needs the whole window's matches per pattern, so sinks
-    // cannot stream through — and a shared sink would race).
+    // Fan one streaming-find task per pattern; each reads the window's raw
+    // bytes through its own searcher map (no per-pattern translated copy)
+    // and collects into a private buffer (the merge below needs the whole
+    // window's matches per pattern, so sinks cannot stream through — and a
+    // shared sink would race).
     std::vector<std::vector<Match>> buffers(states_.size());
     pool_->run(
         states_.size(),
         [&](std::size_t p) {
           PatternState& state = states_[p];
           const Dfa& searcher = state.pattern.searcher();
-          const std::vector<Symbol> window = searcher.symbols().translate(bytes);
           stream_find_feed(
-              searcher, state.carry, window, *pool_, options_,
+              searcher, state.carry, ByteSpan(bytes, searcher.symbols()), *pool_,
+              options_,
               [&buffers, p](const Match& match) { buffers[p].push_back(match); },
               static_cast<std::uint32_t>(p), gov, state.reverse);
         },

@@ -35,6 +35,28 @@ QueryResult count_matches_serial(const Dfa& dfa, std::span<const Symbol> input) 
   return result;
 }
 
+namespace detail {
+
+/// The text a streaming window's exact begins resolve over: the carried
+/// history tail followed by the incoming window, indexed from
+/// FindCarry::history_base. The window is read through its own input, so
+/// a byte window maps one byte per step and is never translated whole.
+template <typename Input>
+struct HistoryView {
+  std::span<const Symbol> tail;
+  const Input& window;
+};
+
+/// Declared before resolve_exact_begin: its qualified detail::symbol_at
+/// call finds no later overload (no argument-dependent lookup).
+template <typename Input>
+Symbol symbol_at(const HistoryView<Input>& view, std::size_t i) {
+  return i < view.tail.size() ? view.tail[i]
+                               : symbol_at(view.window, i - view.tail.size());
+}
+
+}  // namespace detail
+
 namespace {
 
 /// One recorded occurrence of a chunk run: `pos` is the chunk-local end
@@ -641,6 +663,121 @@ QueryResult find_input(const Dfa& dfa, const Input& input, ThreadPool& pool,
   return result;
 }
 
+/// Appends units [from, input.size()) of `input` to `out` as symbols — for
+/// a byte window, the only part of it that is ever translated as a run.
+template <typename Input>
+void append_symbols(std::vector<Symbol>& out, const Input& input, std::size_t from) {
+  const std::size_t at = out.size();
+  out.resize(at + (input.size() - from));
+  for (std::size_t i = from; i < input.size(); ++i)
+    out[at + (i - from)] = detail::symbol_at(input, i);
+}
+
+/// stream_find_feed for either input.
+template <typename Input>
+void stream_find_input(const Dfa& dfa, FindCarry& carry, const Input& window,
+                       ThreadPool& pool, const QueryOptions& options,
+                       const MatchSink& sink, std::uint32_t pattern_id,
+                       const QueryGovernor* governor, const ReverseBegins* reverse) {
+  validate_query(options, kStreamFindingCaps, kStreamFindingContext);
+  const bool exact = options.begin_mode == BeginMode::kExact;
+  if (exact) require_reverse(reverse, "streaming find");
+  const QueryGovernor own(options.deadline, options.cancel);
+  const QueryGovernor* gov = resolve_governor(governor, own);
+  if (window.empty()) return;
+  // The exact-begin memory bound: the cap is on PEAK retention (carried
+  // tail + the incoming window), checked BEFORE any carry mutation so the
+  // throw leaves the carry consistent — the session-level poisoning that
+  // follows is a policy choice, not a necessity. A died carry retains
+  // nothing, so the cap has nothing to bound there.
+  if (exact && !carry.died && options.max_history_bytes != 0 &&
+      carry.history.size() + window.size() > options.max_history_bytes)
+    throw ResourceExhausted(
+        "exact-begin history",
+        static_cast<std::int64_t>(options.max_history_bytes),
+        static_cast<std::int64_t>(carry.history.size() + window.size()));
+  const std::uint64_t origin = carry.consumed;
+  const std::uint64_t consumed = origin + window.size();
+  if (carry.died) {  // the run already left the automaton — nothing
+    carry.consumed = consumed;  // downstream can match, only the offset advances
+    return;
+  }
+  // The feed works on copies of the carry's walk and commits them, with the
+  // history, only after the join: a throw from the governor, the sink or an
+  // allocation leaves the carry exactly as it was before the feed.
+  State state = carry.at_start ? dfa.initial() : carry.state;
+  // Position 0: the stream starts in the initial state.
+  std::uint64_t last_sep = carry.at_start ? 0 : carry.last_sep;
+  bool died = false;
+  std::uint64_t matches = carry.matches;
+  std::uint64_t transitions = carry.transitions;
+
+  // Reach: exactly the one-shot fan-out, except the window's first chunk
+  // continues from the CARRIED state instead of the initial one.
+  const auto chunks = split_chunks(window.size(), options.chunks);
+  const auto runs =
+      reach_chunks<std::vector<FindHit>>(dfa, window, chunks, state, pool, options, gov);
+
+  // Join, serialized per window: the carried (state, last separator) enter
+  // the walk and leave updated for the next window; hits emit through the
+  // sink with absolute offsets. Exact begins resolve over the carried tail
+  // followed by the window, read in place: [history_base, consumed).
+  const detail::HistoryView<Input> text{carry.history, window};
+  for (const auto& run : runs) transitions += run.transitions;
+  join_find_chunks(runs, chunks, origin, state, last_sep, died,
+                   [&](std::uint64_t begin, std::uint64_t end) {
+                     if (exact) {
+                       // Confirm backwards over the retained history. Every
+                       // separator a hit can carry postdates the last
+                       // truncation point, so the floor never leaves the
+                       // tail; positions map through history_base.
+                       const std::uint64_t floor =
+                           reverse->separators_sound ? begin : carry.history_base;
+                       begin = carry.history_base +
+                               resolve_exact_begin(
+                                   reverse->dfa, text,
+                                   end - carry.history_base,
+                                   floor - carry.history_base,
+                                   begin - carry.history_base);
+                     }
+                     ++matches;
+                     sink(Match{pattern_id, begin, end});
+                   });
+
+  if (exact && died) {
+    // Nothing downstream can match — drop the tail outright.
+    std::vector<Symbol>().swap(carry.history);
+    carry.history_base = consumed;
+  } else if (exact) {
+    // Retain [keep, consumed). No future match can start before the
+    // post-join last separator, so a separators-sound pattern keeps from
+    // there on; unsound-separator patterns keep the full history (the
+    // documented memory cost of exactness on such shapes). Only the kept
+    // part of the window is translated into the history. Appending first
+    // and erasing after keeps the throw-safety above: growing a vector of
+    // symbols either succeeds or leaves it as it was, and the erase cannot
+    // throw.
+    const std::uint64_t keep = reverse->separators_sound
+                                   ? std::max(last_sep, carry.history_base)
+                                   : carry.history_base;
+    const std::size_t carried = carry.history.size();
+    append_symbols(carry.history, window,
+                   keep > origin ? static_cast<std::size_t>(keep - origin) : 0);
+    const std::size_t dropped =
+        keep > origin ? carried : static_cast<std::size_t>(keep - carry.history_base);
+    carry.history.erase(carry.history.begin(),
+                        carry.history.begin() + static_cast<std::ptrdiff_t>(dropped));
+    carry.history_base = keep;
+  }
+  carry.state = state;
+  carry.last_sep = last_sep;
+  carry.died = died;
+  carry.at_start = false;
+  carry.consumed = consumed;
+  carry.matches = matches;
+  carry.transitions = transitions;
+}
+
 }  // namespace
 
 std::vector<State> chunk_starts(const Dfa& dfa, std::span<const Symbol> input,
@@ -725,82 +862,16 @@ void stream_find_feed(const Dfa& dfa, FindCarry& carry, std::span<const Symbol> 
                       ThreadPool& pool, const QueryOptions& options,
                       const MatchSink& sink, std::uint32_t pattern_id,
                       const QueryGovernor* governor, const ReverseBegins* reverse) {
-  validate_query(options, kStreamFindingCaps, kStreamFindingContext);
-  const bool exact = options.begin_mode == BeginMode::kExact;
-  if (exact) require_reverse(reverse, "streaming find");
-  const QueryGovernor own(options.deadline, options.cancel);
-  const QueryGovernor* gov = resolve_governor(governor, own);
-  if (window.empty()) return;
-  // The exact-begin memory bound: the cap is on PEAK retention (carried
-  // tail + the incoming window), checked BEFORE any carry mutation so the
-  // throw leaves the carry consistent — the session-level poisoning that
-  // follows is a policy choice, not a necessity. A died carry retains
-  // nothing, so the cap has nothing to bound there.
-  if (exact && !carry.died && options.max_history_bytes != 0 &&
-      carry.history.size() + window.size() > options.max_history_bytes)
-    throw ResourceExhausted(
-        "exact-begin history",
-        static_cast<std::int64_t>(options.max_history_bytes),
-        static_cast<std::int64_t>(carry.history.size() + window.size()));
-  const std::uint64_t origin = carry.consumed;
-  carry.consumed += window.size();
-  if (carry.died) return;  // the run already left the automaton — nothing
-                           // downstream can match, only the offset advances
-  if (carry.at_start) {
-    carry.state = dfa.initial();
-    carry.last_sep = 0;  // position 0: the stream starts in the initial state
-    carry.at_start = false;
-  }
-  if (exact)  // history invariant: covers [history_base, consumed)
-    carry.history.insert(carry.history.end(), window.begin(), window.end());
+  stream_find_input(dfa, carry, window, pool, options, sink, pattern_id, governor,
+                    reverse);
+}
 
-  // Reach: exactly the one-shot fan-out, except the window's first chunk
-  // continues from the CARRIED state instead of the initial one.
-  const auto chunks = split_chunks(window.size(), options.chunks);
-  const auto runs = reach_chunks<std::vector<FindHit>>(dfa, window, chunks, carry.state,
-                                                       pool, options, gov);
-
-  // Join, serialized per window: the carried (state, last separator) enter
-  // the walk and leave updated for the next window; hits emit through the
-  // sink with absolute offsets.
-  for (const auto& run : runs) carry.transitions += run.transitions;
-  join_find_chunks(runs, chunks, origin, carry.state, carry.last_sep, carry.died,
-                   [&](std::uint64_t begin, std::uint64_t end) {
-                     if (exact) {
-                       // Confirm backwards over the retained history. Every
-                       // separator a hit can carry postdates the last
-                       // truncation point, so the floor never leaves the
-                       // tail; positions map through history_base.
-                       const std::uint64_t floor =
-                           reverse->separators_sound ? begin : carry.history_base;
-                       begin = carry.history_base +
-                               resolve_exact_begin(
-                                   reverse->dfa, carry.history,
-                                   end - carry.history_base,
-                                   floor - carry.history_base,
-                                   begin - carry.history_base);
-                     }
-                     ++carry.matches;
-                     sink(Match{pattern_id, begin, end});
-                   });
-
-  if (exact) {
-    if (carry.died) {
-      // Nothing downstream can match — drop the tail outright.
-      carry.history.clear();
-      carry.history.shrink_to_fit();
-      carry.history_base = carry.consumed;
-    } else if (reverse->separators_sound && carry.last_sep > carry.history_base) {
-      // No future match can start before the last separator: truncate the
-      // carried tail to it. Unsound-separator patterns keep the full
-      // history (the documented memory cost of exactness on such shapes).
-      carry.history.erase(carry.history.begin(),
-                          carry.history.begin() +
-                              static_cast<std::ptrdiff_t>(carry.last_sep -
-                                                          carry.history_base));
-      carry.history_base = carry.last_sep;
-    }
-  }
+void stream_find_feed(const Dfa& dfa, FindCarry& carry, const ByteSpan& window,
+                      ThreadPool& pool, const QueryOptions& options,
+                      const MatchSink& sink, std::uint32_t pattern_id,
+                      const QueryGovernor* governor, const ReverseBegins* reverse) {
+  stream_find_input(dfa, carry, window, pool, options, sink, pattern_id, governor,
+                    reverse);
 }
 
 }  // namespace rispar

@@ -61,7 +61,10 @@
 // uncounted, exactly like an alien symbol, so both inputs give the same
 // matches, begins, `died` and transitions (tests/test_byte_input.cpp). The
 // searcher's map covers all 256 bytes, so on its own searcher no byte is
-// alien. Streaming (stream_find_feed) still takes translated windows.
+// alien. Streaming find (stream_find_feed) takes either input the same
+// way: StreamSession and MultiStreamSession feed raw window bytes, so no
+// streaming window is translated as a whole — under BeginMode::kExact only
+// the part of the window the carried history retains is.
 #pragma once
 
 #include <cstddef>
@@ -199,14 +202,17 @@ struct FindCarry {
   std::uint64_t last_sep = 0;  ///< absolute last-separator position
   std::uint64_t matches = 0;   ///< total occurrences emitted so far
   std::uint64_t transitions = 0;
-  /// BeginMode::kExact only: retained window symbols the backward
-  /// reverse-DFA scan resolves cross-window begins over. `history_base` is
-  /// the absolute position of history[0]; the retained tail always covers
-  /// [history_base, consumed). When the reverse artifact certifies
-  /// separators sound, each feed truncates the tail to the post-join last
-  /// separator (a match can never start before it); otherwise the session
-  /// retains from the stream start — the price of exactness on patterns
-  /// whose separators are unsound (docs/api.md, "Begin modes"). Untouched
+  /// BeginMode::kExact only: retained window symbols (searcher symbols,
+  /// whichever input fed them) the backward reverse-DFA scan resolves
+  /// cross-window begins over. `history_base` is the absolute position of
+  /// history[0]; the retained tail always covers [history_base, consumed).
+  /// During a feed, begins resolve over this tail followed by the incoming
+  /// window read in place; after the join only what is kept is appended.
+  /// When the reverse artifact certifies separators sound, that is
+  /// [max(post-join last separator, history_base), consumed) — a match can
+  /// never start before the separator; otherwise the session retains from
+  /// the stream start — the price of exactness on patterns whose
+  /// separators are unsound (docs/api.md, "Begin modes"). Untouched
   /// (empty) under kSeparator.
   std::vector<Symbol> history;
   std::uint64_t history_base = 0;
@@ -236,7 +242,20 @@ inline constexpr const char* kStreamFindingContext =
 /// the carry retains window history (FindCarry::history) so begins crossing
 /// feed boundaries resolve exactly — segmentation-invariant like the rest
 /// of the carry.
+/// A feed that throws (the governor, the sink, an allocation, the history
+/// cap) leaves `carry` as it was before the call, so the same window can be
+/// fed again; matches the sink already took are emitted again then.
 void stream_find_feed(const Dfa& dfa, FindCarry& carry, std::span<const Symbol> window,
+                      ThreadPool& pool, const QueryOptions& options,
+                      const MatchSink& sink, std::uint32_t pattern_id = 0,
+                      const QueryGovernor* governor = nullptr,
+                      const ReverseBegins* reverse = nullptr);
+/// The same over raw window bytes classed by `window.map` (dfa.symbols()
+/// for a Σ*p searcher): the chunk kernels and the exact-begin scan read the
+/// bytes in place. Matches, begins and the carry — history included — are
+/// identical to feeding the translated window (tests/test_stream_bytes.cpp),
+/// so checkpoints taken either way are interchangeable.
+void stream_find_feed(const Dfa& dfa, FindCarry& carry, const ByteSpan& window,
                       ThreadPool& pool, const QueryOptions& options,
                       const MatchSink& sink, std::uint32_t pattern_id = 0,
                       const QueryGovernor* governor = nullptr,

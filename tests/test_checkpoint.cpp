@@ -296,6 +296,49 @@ TEST(Checkpoint, FindCarryImageBytesArePinned) {
   EXPECT_EQ(back.history, carry.history);
 }
 
+TEST(Checkpoint, LiveExactCarryWithoutItsHistoryRejects) {
+  // kExact begins resolve over [history_base, consumed), so a live carry
+  // whose history does not cover that span would read past the window on
+  // the next hit. An empty history passes the general length check, so
+  // the forged image must be refused on its own.
+  const PatternSet set = PatternSet::compile({"a[bc]*d"}, {.threads = 2});
+  const std::vector<Pattern> fleet{set.pattern(0)};
+  const std::uint64_t fingerprint = checkpoint::fleet_fingerprint(fleet);
+  const QueryOptions options{.positions = true, .begin_mode = BeginMode::kExact};
+  FindCarry forged;
+  forged.at_start = false;
+  forged.state = set.pattern(0).searcher().initial();
+  forged.consumed = 5000;
+  forged.history_base = 0;  // nothing retained for [0, 5000)
+  EXPECT_THROW((void)set.resume_stream(
+                   checkpoint::encode_multi({&forged}, 5000, options, fingerprint),
+                   options),
+               ValidationError);
+  // A died carry keeps no history while its byte count advances: valid.
+  forged.died = true;
+  EXPECT_NO_THROW((void)set.resume_stream(
+      checkpoint::encode_multi({&forged}, 5000, options, fingerprint), options));
+  // Under kSeparator nothing is retained, so the same live carry is valid.
+  forged.died = false;
+  const QueryOptions separator{.positions = true};
+  EXPECT_NO_THROW((void)set.resume_stream(
+      checkpoint::encode_multi({&forged}, 5000, separator, fingerprint), separator));
+
+  // The single-pattern blob carries the same find image.
+  const Engine engine(Pattern::compile("a[bc]*d"), {.threads = 2});
+  StreamSession session = engine.stream(options);
+  session.feed(std::string(40, 'x'));
+  const std::string good = session.checkpoint();
+  StreamCarry carry = checkpoint::decode_stream(
+      good, Variant::kRid, options, checkpoint::pattern_fingerprint(engine.pattern()));
+  carry.find.history.clear();
+  carry.find.history_base = 0;
+  const std::string bad = checkpoint::encode_stream(
+      carry, Variant::kRid, options, checkpoint::pattern_fingerprint(engine.pattern()));
+  EXPECT_THROW((void)engine.resume_stream(bad, options), ValidationError);
+  EXPECT_NO_THROW((void)engine.resume_stream(good, options));
+}
+
 TEST(Checkpoint, FingerprintIsContentNotShape) {
   // "a" and "b" have identical minimal-DFA SHAPES; only the byte classes
   // differ. The fingerprint must still tell them apart.
