@@ -177,7 +177,7 @@ void StreamSession::feed(std::string_view bytes) {
   if (!options_.positions) {
     ensure_live();
     try {
-      device_->stream_feed(carry_, pattern_.translate(bytes), *pool_, options_);
+      device_->stream_feed(carry_, ByteSpan(bytes, pattern_.symbols()), *pool_, options_);
     } catch (...) {
       poisoned_ = true;
       throw;
@@ -196,27 +196,16 @@ void StreamSession::feed(std::string_view bytes, const MatchSink& sink) {
         "find");
   ensure_live();
   try {
-    // The decision and the find side consume the same bytes through two
-    // maps: the pattern's classes for the device carry, the searcher's
-    // all-bytes map for position emission — read in place by the find
-    // kernels, never translated as a whole window.
-    const Dfa& searcher = pattern_.searcher();
+    // The decision and the find side read the same bytes in place through
+    // two maps: the pattern's classes for the device carry, the searcher's
+    // all-bytes map for position emission. A dead decision only counts the
+    // window; the find side still scans.
     const ReverseBegins* reverse = options_.begin_mode == BeginMode::kExact
                                        ? &pattern_.reverse_begins()
                                        : nullptr;
-    const StreamFindWindow find{searcher, ByteSpan(bytes, searcher.symbols()), sink,
-                                /*pattern_id=*/0, reverse};
-    if (dead()) {
-      // The decision already died — its window would no-op anyway, so skip
-      // the device-side translation (the tailing steady state: only the
-      // find side still scans). Keep the window accounting stream_window
-      // would do.
-      if (!bytes.empty()) ++carry_.windows;
-      device_->stream_feed(carry_, std::span<const Symbol>{}, *pool_, options_,
-                           &find);
-      return;
-    }
-    device_->stream_feed(carry_, pattern_.translate(bytes), *pool_, options_, &find);
+    const StreamFindWindow find{pattern_.searcher(), sink, /*pattern_id=*/0, reverse};
+    device_->stream_feed(carry_, ByteSpan(bytes, pattern_.symbols()), *pool_, options_,
+                         &find);
   } catch (...) {
     poisoned_ = true;
     throw;

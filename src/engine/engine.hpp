@@ -10,10 +10,10 @@
 //   auto session = engine.stream();                 // window-by-window
 //   engine.match_all(texts);                        // many texts, one pool
 //
-// All entry points accept raw bytes (std::string_view). The one-shot ones
-// (recognize, count, find, find_all, match_all) never materialize symbols:
-// the chunk kernels read each chunk's bytes through the map inside its pool
-// task. span<const Symbol> overloads are for pre-translated input — callers
+// All entry points accept raw bytes (std::string_view). Neither the one-shot
+// ones (recognize, count, find, find_all, match_all) nor stream feeds
+// materialize symbols: the chunk kernels read each chunk's bytes through the
+// map inside its pool task. span<const Symbol> overloads are for pre-translated input — callers
 // that translate once and query many times (tests, the bench drivers). The
 // four devices — DFA, NFA, RID, SFA — sit behind the polymorphic Device
 // registry; options a device cannot honor raise QueryError instead of being

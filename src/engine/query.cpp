@@ -28,7 +28,6 @@ void validate_query(const QueryOptions& options, const DeviceCaps& caps,
   if (options.convergence && !caps.convergence) reject("convergence");
   if (options.kernel != DetKernel::kFused && !caps.kernel_select) reject("kernel");
   if (options.lookback > 0 && !caps.lookback) reject("lookback");
-  if (options.tree_join && !caps.tree_join) reject("tree_join");
   if ((options.offset != 0 || options.limit != QueryOptions::kNoLimit) && !caps.paging)
     reject("offset/limit");
   if (options.positions && !caps.positions) reject("positions");

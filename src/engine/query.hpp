@@ -5,11 +5,9 @@
 //
 //  * Variant   — which chunk automaton answers the query (the paper's three
 //    schemes plus the speculation-free SFA comparator [25]);
-//  * QueryOptions — the single knob struct, absorbing what used to be split
-//    between DeviceOptions (chunks, lookback, tree_join) and DetChunkOptions
-//    (convergence, kernel). A device that cannot honor a requested knob
-//    REJECTS the query with QueryError instead of silently ignoring it —
-//    capabilities() says up front what each device honors;
+//  * QueryOptions — the single knob struct. A device that cannot honor a
+//    requested knob REJECTS the query with QueryError instead of silently
+//    ignoring it — capabilities() says up front what each device honors;
 //  * QueryResult — the unified structured result (decision, occurrence
 //    count, transition accounting, per-phase wall times).
 #pragma once
@@ -48,7 +46,6 @@ struct DeviceCaps {
   bool convergence = false;    ///< run-convergence in the chunk kernels
   bool kernel_select = false;  ///< fused/reference kernel choice
   bool lookback = false;       ///< look-back start pruning (Sect. 5 / [28])
-  bool tree_join = false;      ///< parallel tree-reduction join
   bool paging = false;         ///< offset/limit on the positions payload
   bool positions = false;      ///< Match emission (find payloads, streaming find)
   bool exact_begins = false;   ///< BeginMode::kExact (reverse-DFA confirmation)
@@ -121,12 +118,6 @@ struct QueryOptions {
   /// count and streaming find do their own internal lookback
   /// (parallel/match_count.hpp, chunk_starts) and reject it.
   std::size_t lookback = 0;
-  /// Parallel tree-reduction join (DFA device only): chunk mappings are
-  /// total functions Q → Q ∪ {dead}, whose composition is associative, so
-  /// the join can reduce pairwise on the pool in O(log c) rounds instead of
-  /// serially. The paper keeps the join serial because it is <1% of the
-  /// time (Sect. 4.4) — this mode exists to *measure* that claim.
-  bool tree_join = false;
   /// Paging of the positions payload (find/find_all only — other query
   /// shapes REJECT a non-default offset/limit): skip the first `offset`
   /// matches and materialize at most `limit` of the rest. QueryResult's

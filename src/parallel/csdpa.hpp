@@ -11,18 +11,18 @@
 //  * SfaDevice — the speculation-free comparator (Sect. 1, SFA [25]).
 //
 // The first three share the same two-phase structure: a parallel *reach*
-// phase (one task per chunk on a ThreadPool; chunk 1 starts in the real
-// initial state only) and a serial *join* phase computing
+// phase (one task per chunk on a ThreadPool; the first chunk starts from the
+// carried PLAS only — the real initial state on a fresh carry) and a serial
+// *join* phase computing
 //     PLAS_i = λ_i( map(PLAS_{i-1}) ∩ PIS_i ),
 // where map is the identity for DFA/NFA and the interface function for RID.
 // Acceptance: PLAS_c contains a final state. The SFA instead runs one
 // mapping-valued chunk automaton per chunk and composes the mappings.
-// recognize() returns the decision plus the overhead metrics the paper
-// reports (transition counts, per-phase wall times) for a symbol span or
-// raw bytes (ByteSpan — the chunk kernels class each chunk's bytes inside
-// its pool task, parallel/ca_run.hpp); stream_feed() applies
-// the same join condition at window granularity so texts larger than
-// memory recognize window by window with O(|PLAS|) carry-over.
+// Each device writes that reach + join once, as its window body over a
+// symbol span or raw bytes (ByteSpan — the chunk kernels class each chunk's
+// bytes inside its pool task, parallel/ca_run.hpp). One-shot recognize runs
+// it once from a fresh carry; a stream runs it per window with O(|PLAS|)
+// carry-over, so texts larger than memory recognize window by window.
 #pragma once
 
 #include <cstdint>
@@ -48,26 +48,25 @@ class DfaDevice : public Device {
 
   Variant variant() const override { return Variant::kDfa; }
   DeviceCaps capabilities() const override {
-    return {.convergence = true, .kernel_select = true, .lookback = true,
-            .tree_join = true};
+    return {.convergence = true, .kernel_select = true, .lookback = true};
   }
 
-  QueryResult recognize(std::span<const Symbol> input, ThreadPool& pool,
-                        const QueryOptions& options) const override;
-  QueryResult recognize(const ByteSpan& input, ThreadPool& pool,
-                        const QueryOptions& options) const override;
   bool stream_accepted(const StreamCarry& carry) const override;
 
  protected:
-  void stream_window(StreamCarry& carry, std::span<const Symbol> window,
-                     ThreadPool& pool, const QueryOptions& options,
-                     const QueryGovernor* governor) const override;
+  WindowRun stream_window(StreamCarry& carry, std::span<const Symbol> window,
+                          ThreadPool& pool, const QueryOptions& options,
+                          const QueryGovernor* governor) const override;
+  WindowRun stream_window(StreamCarry& carry, const ByteSpan& window, ThreadPool& pool,
+                          const QueryOptions& options,
+                          const QueryGovernor* governor) const override;
 
  private:
-  /// The one recognize body, for either input.
+  /// The one reach + join body, for either input.
   template <typename Input>
-  QueryResult recognize_input(const Input& input, ThreadPool& pool,
-                              const QueryOptions& options) const;
+  WindowRun window_body(StreamCarry& carry, const Input& input, ThreadPool& pool,
+                        const QueryOptions& options,
+                        const QueryGovernor* governor) const;
 
   const Dfa& dfa_;
   std::vector<State> all_states_;  ///< speculative start set = Q
@@ -81,22 +80,22 @@ class NfaDevice : public Device {
   Variant variant() const override { return Variant::kNfa; }
   DeviceCaps capabilities() const override { return {}; }
 
-  QueryResult recognize(std::span<const Symbol> input, ThreadPool& pool,
-                        const QueryOptions& options) const override;
-  QueryResult recognize(const ByteSpan& input, ThreadPool& pool,
-                        const QueryOptions& options) const override;
   bool stream_accepted(const StreamCarry& carry) const override;
 
  protected:
-  void stream_window(StreamCarry& carry, std::span<const Symbol> window,
-                     ThreadPool& pool, const QueryOptions& options,
-                     const QueryGovernor* governor) const override;
+  WindowRun stream_window(StreamCarry& carry, std::span<const Symbol> window,
+                          ThreadPool& pool, const QueryOptions& options,
+                          const QueryGovernor* governor) const override;
+  WindowRun stream_window(StreamCarry& carry, const ByteSpan& window, ThreadPool& pool,
+                          const QueryOptions& options,
+                          const QueryGovernor* governor) const override;
 
  private:
-  /// The one recognize body, for either input.
+  /// The one reach + join body, for either input.
   template <typename Input>
-  QueryResult recognize_input(const Input& input, ThreadPool& pool,
-                              const QueryOptions& options) const;
+  WindowRun window_body(StreamCarry& carry, const Input& input, ThreadPool& pool,
+                        const QueryOptions& options,
+                        const QueryGovernor* governor) const;
 
   const Nfa& nfa_;
   std::vector<State> all_states_;
@@ -111,22 +110,22 @@ class RidDevice : public Device {
     return {.convergence = true, .kernel_select = true};
   }
 
-  QueryResult recognize(std::span<const Symbol> input, ThreadPool& pool,
-                        const QueryOptions& options) const override;
-  QueryResult recognize(const ByteSpan& input, ThreadPool& pool,
-                        const QueryOptions& options) const override;
   bool stream_accepted(const StreamCarry& carry) const override;
 
  protected:
-  void stream_window(StreamCarry& carry, std::span<const Symbol> window,
-                     ThreadPool& pool, const QueryOptions& options,
-                     const QueryGovernor* governor) const override;
+  WindowRun stream_window(StreamCarry& carry, std::span<const Symbol> window,
+                          ThreadPool& pool, const QueryOptions& options,
+                          const QueryGovernor* governor) const override;
+  WindowRun stream_window(StreamCarry& carry, const ByteSpan& window, ThreadPool& pool,
+                          const QueryOptions& options,
+                          const QueryGovernor* governor) const override;
 
  private:
-  /// The one recognize body, for either input.
+  /// The one reach + join body, for either input.
   template <typename Input>
-  QueryResult recognize_input(const Input& input, ThreadPool& pool,
-                              const QueryOptions& options) const;
+  WindowRun window_body(StreamCarry& carry, const Input& input, ThreadPool& pool,
+                        const QueryOptions& options,
+                        const QueryGovernor* governor) const;
 
   const Ridfa& ridfa_;
 };
@@ -144,22 +143,22 @@ class SfaDevice : public Device {
   Variant variant() const override { return Variant::kSfa; }
   DeviceCaps capabilities() const override { return {}; }
 
-  QueryResult recognize(std::span<const Symbol> input, ThreadPool& pool,
-                        const QueryOptions& options) const override;
-  QueryResult recognize(const ByteSpan& input, ThreadPool& pool,
-                        const QueryOptions& options) const override;
   bool stream_accepted(const StreamCarry& carry) const override;
 
  protected:
-  void stream_window(StreamCarry& carry, std::span<const Symbol> window,
-                     ThreadPool& pool, const QueryOptions& options,
-                     const QueryGovernor* governor) const override;
+  WindowRun stream_window(StreamCarry& carry, std::span<const Symbol> window,
+                          ThreadPool& pool, const QueryOptions& options,
+                          const QueryGovernor* governor) const override;
+  WindowRun stream_window(StreamCarry& carry, const ByteSpan& window, ThreadPool& pool,
+                          const QueryOptions& options,
+                          const QueryGovernor* governor) const override;
 
  private:
-  /// The one recognize body, for either input.
+  /// The one reach + join body, for either input.
   template <typename Input>
-  QueryResult recognize_input(const Input& input, ThreadPool& pool,
-                              const QueryOptions& options) const;
+  WindowRun window_body(StreamCarry& carry, const Input& input, ThreadPool& pool,
+                        const QueryOptions& options,
+                        const QueryGovernor* governor) const;
 
   /// Arrival SFA state of one chunk; kDeadState when the chunk contains an
   /// alien symbol and the all-dead mapping was never interned (total chunk

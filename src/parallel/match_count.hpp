@@ -32,7 +32,7 @@
 //
 // Counting takes `chunks` and `convergence` of the unified QueryOptions and
 // always runs the default (fused) kernel; knobs it cannot honor (lookback,
-// tree_join, a kernel choice) raise QueryError. Finding honors the full
+// a kernel choice) raise QueryError. Finding honors the full
 // kernel vocabulary: `convergence` shares hits through the merge tree —
 // runs that land in the same state at the same position execute as one
 // from the merge point on, with the consistent start's hits reconstructed

@@ -219,45 +219,5 @@ TEST(Lookback, PrunesStartsWhereTheWindowPinsTheBoundary) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LookbackProperty, ::testing::Range<std::uint64_t>(0, 12));
 
-TEST(TreeJoin, MatchesSerialJoinDecision) {
-  Prng prng(2718);
-  ThreadPool pool(4);
-  for (int trial = 0; trial < 12; ++trial) {
-    RandomNfaConfig config;
-    config.num_states = 5 + static_cast<std::int32_t>(prng.pick_index(20));
-    const Nfa nfa = random_nfa(prng, config);
-    const Engines engines(nfa);
-    for (const std::size_t chunks : {1u, 2u, 7u, 16u}) {
-      const auto input = testing::random_word(prng, nfa.num_symbols(),
-                                              1 + prng.pick_index(60));
-      QueryOptions serial_join{.chunks = chunks, .convergence = false};
-      QueryOptions tree{.chunks = chunks, .convergence = false};
-      tree.tree_join = true;
-      const auto a = DfaDevice(engines.min_dfa).recognize(input, pool, serial_join);
-      const auto b = DfaDevice(engines.min_dfa).recognize(input, pool, tree);
-      EXPECT_EQ(a.accepted, b.accepted) << "chunks=" << chunks;
-      EXPECT_EQ(a.transitions, b.transitions);
-    }
-  }
-}
-
-TEST(TreeJoin, HandlesOddChunkCounts) {
-  ThreadPool pool(4);
-  const Engines engines(glushkov_nfa(parse_regex("(ab)*")));
-  std::vector<Symbol> input;
-  for (int i = 0; i < 30; ++i) {
-    input.push_back(0);
-    input.push_back(1);
-  }
-  for (const std::size_t chunks : {3u, 5u, 9u, 13u}) {
-    QueryOptions tree{.chunks = chunks, .convergence = false};
-    tree.tree_join = true;
-    EXPECT_TRUE(DfaDevice(engines.min_dfa).recognize(input, pool, tree).accepted)
-        << "chunks=" << chunks;
-  }
-}
-
-
-
 }  // namespace
 }  // namespace rispar

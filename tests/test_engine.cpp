@@ -123,31 +123,29 @@ TEST(Engine, ValidationRejectsUnsupportedKnobs) {
                QueryError);
   EXPECT_NO_THROW(engine.recognize(text, {.variant = Variant::kRid,
                                           .kernel = DetKernel::kReference}));
-  // Look-back and tree-join: DFA device only.
+  // Look-back: DFA device only.
   EXPECT_THROW(engine.recognize(text, {.variant = Variant::kRid, .lookback = 4}),
                QueryError);
   EXPECT_NO_THROW(engine.recognize(text, {.variant = Variant::kDfa, .lookback = 4}));
-  EXPECT_THROW(engine.recognize(text, {.variant = Variant::kRid, .tree_join = true}),
-               QueryError);
-  EXPECT_NO_THROW(engine.recognize(text, {.variant = Variant::kDfa, .tree_join = true}));
-  // Streaming rejects lookback/tree_join even where one-shot allows them —
-  // on the Engine path and on the direct device path alike.
+  // Streaming rejects lookback even where one-shot allows it — on the
+  // Engine path and on the direct device path alike, for symbol and byte
+  // windows.
   EXPECT_THROW(engine.stream({.variant = Variant::kDfa, .lookback = 4}), QueryError);
-  EXPECT_THROW(engine.stream({.variant = Variant::kDfa, .tree_join = true}), QueryError);
   EXPECT_NO_THROW(engine.stream({.variant = Variant::kDfa, .convergence = true}));
   {
     StreamCarry carry;
     const std::vector<Symbol> window{0, 1};
-    EXPECT_THROW(engine.device(Variant::kDfa)
-                     .stream_feed(carry, window, engine.pool(),
-                                  {.variant = Variant::kDfa, .lookback = 4}),
+    const QueryOptions lookback{.variant = Variant::kDfa, .lookback = 4};
+    const Device& dfa = engine.device(Variant::kDfa);
+    EXPECT_THROW(dfa.stream_feed(carry, window, engine.pool(), lookback), QueryError);
+    EXPECT_THROW(dfa.stream_feed(carry, ByteSpan("ab", engine.pattern().symbols()),
+                                 engine.pool(), lookback),
                  QueryError);
   }
   // Counting honors chunks + convergence, nothing else.
   EXPECT_NO_THROW(engine.count(text, {.chunks = 3, .convergence = true}));
   EXPECT_THROW(engine.count(text, {.kernel = DetKernel::kReference}), QueryError);
   EXPECT_THROW(engine.count(text, {.lookback = 2}), QueryError);
-  EXPECT_THROW(engine.count(text, {.tree_join = true}), QueryError);
 }
 
 TEST(Engine, SfaBudgetExplosionIsAnError) {

@@ -99,7 +99,6 @@ TEST(FindAll, PagingRejectedWhereNotHonored) {
   EXPECT_THROW(engine.stream({.limit = 1}), QueryError);
   // find rejects what IT cannot honor.
   EXPECT_THROW(engine.find("ab", {.lookback = 4}), QueryError);
-  EXPECT_THROW(engine.find("ab", {.tree_join = true}), QueryError);
 }
 
 // The acceptance matrix: positions equal the serial reference for every
@@ -258,7 +257,6 @@ TEST(PatternSet, PagingAppliesToTheMergedStream) {
 TEST(PatternSet, RejectsUnsupportedKnobs) {
   const PatternSet set = PatternSet::compile({"ab"});
   EXPECT_THROW(set.find("ab", {.lookback = 2}), QueryError);
-  EXPECT_THROW(set.find("ab", {.tree_join = true}), QueryError);
 }
 
 // The concurrent-caller smoke tests (ISSUE 3 small fix): one shared

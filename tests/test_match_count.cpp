@@ -60,9 +60,6 @@ TEST(MatchCount, UnsupportedKnobsRaiseQueryError) {
   bad.lookback = 8;
   EXPECT_THROW(count_matches(dfa, input, pool, bad), QueryError);
   bad = counting(2);
-  bad.tree_join = true;
-  EXPECT_THROW(count_matches(dfa, input, pool, bad), QueryError);
-  bad = counting(2);
   bad.kernel = DetKernel::kReference;
   EXPECT_THROW(count_matches(dfa, input, pool, bad), QueryError);
 }

@@ -15,7 +15,11 @@
 //    [max(post-feed last separator, old base), consumed), and the
 //    max_history_bytes cap trips before any mutation with the peak it
 //    would have reached;
-//  * a feed that throws (sink or governor) leaves the carry as it was.
+//  * a feed that throws (sink or governor) leaves the carry as it was;
+//  * the decision carry (Device::stream_feed over a ByteSpan) on every
+//    variant: accepted/dead/transitions/windows and checkpoint blobs equal
+//    to feeding the pattern-translated windows, through alien bytes that
+//    kill the carry and the feeds after its death.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -158,6 +162,70 @@ TEST(StreamBytes, ByteAndSymbolWindowsAgreeAfterEveryFeed) {
             EXPECT_EQ(blob_of(twin.by_bytes, twin.options, pattern),
                       blob_of(twin.by_symbols, twin.options, pattern));
           }
+        }
+      }
+    }
+  }
+}
+
+TEST(StreamBytes, DecisionWindowsAgreeWithSymbolWindowsAfterEveryFeed) {
+  // A long-lived carry, one that stays live on "ab"-runs, and the hazard
+  // pattern, whose carry dies within a few bytes.
+  const std::vector<std::string_view> regexes = {"[abcd]*a[bc]*d[abcd]*", "(ab|c[ad])*b?",
+                                                 "a|ba"};
+  Prng prng(0xdec1);
+  for (const std::string_view regex : regexes) {
+    const Engine engine(Pattern::compile(regex), {.threads = 3});
+    const Pattern& pattern = engine.pattern();
+    const Dfa& searcher = pattern.searcher();
+    const std::uint64_t fingerprint = checkpoint::pattern_fingerprint(pattern);
+    for (const Variant variant : {Variant::kDfa, Variant::kNfa, Variant::kRid,
+                                  Variant::kSfa}) {
+      ASSERT_NE(engine.try_device(variant), nullptr) << variant_name(variant);
+      const Device& device = engine.device(variant);
+      for (const std::size_t chunks : kChunks) {
+        for (const bool positions : {false, true}) {
+          // Text over the patterns' alphabet; every other text carries a
+          // byte outside every pattern's classes, where the carry dies.
+          std::string text(150 + prng.pick_index(150), 'a');
+          for (char& ch : text) ch = "abcd"[prng.pick_index(4)];
+          const bool alien = prng.pick_index(2) == 0;
+          if (alien) text[prng.pick_index(text.size() / 2)] = 'x';
+          SCOPED_TRACE(std::string(regex) + " " + variant_name(variant) +
+                       " c=" + std::to_string(chunks) +
+                       (positions ? " positions" : "") + " text=" + text);
+          QueryOptions options;
+          options.variant = variant;
+          options.chunks = chunks;
+          options.positions = positions;
+
+          StreamSession session = engine.stream(options);
+          StreamCarry twin;
+          std::vector<Match> twin_matches;
+          std::size_t offset = 0;
+          for (const std::size_t take : random_cuts(prng, text.size())) {
+            const std::string_view window = std::string_view(text).substr(offset, take);
+            offset += take;
+            session.feed(window);
+            device.stream_feed(twin, pattern.translate(window), engine.pool(), options);
+            if (positions)
+              stream_find_feed(searcher, twin.find, ByteSpan(window, searcher.symbols()),
+                               engine.pool(), options,
+                               [&](const Match& m) { twin_matches.push_back(m); });
+            EXPECT_EQ(session.accepted(), device.stream_accepted(twin));
+            EXPECT_EQ(session.dead(), !twin.at_start && twin.states.empty());
+            EXPECT_EQ(session.transitions(), twin.transitions);
+            EXPECT_EQ(session.windows(), twin.windows);
+            if (positions) {
+              EXPECT_EQ(session.take_matches(), twin_matches);
+              twin_matches.clear();
+            }
+            EXPECT_EQ(session.checkpoint(),
+                      checkpoint::encode_stream(twin, variant, options, fingerprint));
+          }
+          if (alien) EXPECT_TRUE(session.dead());
+          EXPECT_EQ(session.accepted(),
+                    engine.recognize(text, {.variant = variant, .chunks = chunks}).accepted);
         }
       }
     }
