@@ -1,7 +1,7 @@
 // Microbenchmarks of the position-emitting finding path (ISSUE 3): the
 // find_matches kernel against count_matches on the same kernels, across
-// (convergence × kernel implementation), plus PatternSet multi-pattern
-// serving of one text.
+// (convergence × kernel implementation), a dense-hit find that costs the
+// join, plus PatternSet multi-pattern serving of one text.
 //
 // Unless the caller passes --benchmark_out, results are also written as
 // machine-readable JSON to BENCH_find_all.json in the working directory,
@@ -111,6 +111,46 @@ BENCHMARK(BM_FindMatchesExactBegin)
     ->Args({8, 1, 1})
     ->Args({32, 1, 1})
     ->Unit(benchmark::kMillisecond);
+
+// Dense hits: the bulk-find catalog's regexp pattern aaaa[ab]{6} over 1 MiB
+// of the regexp generator's a/b text — a hit at about one position in 16,
+// ~65k per find — fed as raw bytes at c=16, as Engine::find does. Here the
+// join (the walk that sizes the output, then the emit that writes the
+// Matches and resolves exact begins) is a visible share of a find:
+// `join_share` = join_seconds / (reach_seconds + join_seconds), with
+// `reach_ms` and `join_ms` per find. Arg: begin mode (0 separator, 1 exact).
+void BM_FindMatchesDense(benchmark::State& state) {
+  static const Pattern pattern = Pattern::compile("aaaa[ab]{6}");
+  static const std::string text = [] {
+    Prng prng(stable_hash("find_all_dense"));
+    return regexp_workload().text(1u << 20, prng);
+  }();
+  static ThreadPool pool(4);
+  const Dfa& searcher = pattern.searcher();
+  const bool exact = state.range(0) != 0;
+  const ReverseBegins* reverse = exact ? &pattern.reverse_begins() : nullptr;
+  const QueryOptions options{.chunks = 16,
+                             .begin_mode = exact ? BeginMode::kExact : BeginMode::kSeparator};
+  double reach = 0;
+  double join = 0;
+  std::uint64_t matches = 0;
+  for (auto _ : state) {
+    const QueryResult result = find_matches(searcher, ByteSpan{text, searcher.symbols()},
+                                            pool, options, 0, nullptr, reverse);
+    reach += result.reach_seconds;
+    join += result.join_seconds;
+    matches = result.matches;
+    benchmark::DoNotOptimize(result.positions.data());
+  }
+  const auto finds = static_cast<double>(state.iterations());
+  state.counters["reach_ms"] = 1e3 * reach / finds;
+  state.counters["join_ms"] = 1e3 * join / finds;
+  state.counters["join_share"] = join / (reach + join);
+  state.counters["hits"] = static_cast<double>(matches);
+  state.SetLabel(std::string("aaaa[ab]{6} regexp c=16/") + (exact ? "exact" : "separator"));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * text.size()));
+}
+BENCHMARK(BM_FindMatchesDense)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // What positions cost over bare counting on the identical scan. Args as
 // above.

@@ -3,6 +3,7 @@
 #include <string>
 
 #include "engine/checkpoint.hpp"
+#include "parallel/kernel_input.hpp"
 #include "parallel/match_count.hpp"
 
 namespace rispar {
@@ -149,10 +150,14 @@ std::vector<QueryResult> Engine::match_all(std::span<const std::string_view> tex
   return results;
 }
 
-bool Engine::accepts(std::span<const Symbol> input) const {
-  const Dfa& dfa = pattern_.min_dfa();
+namespace {
+
+/// The serial decision of `dfa` over either input, stepping it in place.
+template <typename Input>
+bool dfa_accepts(const Dfa& dfa, const Input& input) {
   State state = dfa.initial();
-  for (const Symbol symbol : input) {
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    const Symbol symbol = detail::symbol_at(input, i);
     if (symbol < 0 || symbol >= dfa.num_symbols()) return false;
     state = dfa.step(state, symbol);
     if (state == kDeadState) return false;
@@ -160,8 +165,16 @@ bool Engine::accepts(std::span<const Symbol> input) const {
   return dfa.is_final(state);
 }
 
+}  // namespace
+
+bool Engine::accepts(std::span<const Symbol> input) const {
+  return dfa_accepts(pattern_.min_dfa(), input);
+}
+
 bool Engine::accepts(std::string_view text) const {
-  return accepts(pattern_.translate(text));
+  // Bytes in: each byte is classed through the pattern's map as it is
+  // stepped, so no symbol vector is built.
+  return dfa_accepts(pattern_.min_dfa(), ByteSpan{text, pattern_.symbols()});
 }
 
 void StreamSession::ensure_live() const {

@@ -21,7 +21,7 @@
 //
 // Concurrency: read-only queries (recognize/count/find/find_all/match_all)
 // are safe from concurrent threads on one shared Engine — the compiled
-// machines are immutable (lazy builds are call_once) and the pool
+// machines are immutable (lazy builds fill a mutex-guarded slot) and the pool
 // serializes external reach batches, so concurrent callers queue rather
 // than corrupt each other (ConcurrentQueries smoke tests in
 // tests/test_find_all.cpp). For reach-phase parallelism ACROSS queries,
@@ -167,6 +167,8 @@ class Engine {
 
   /// Serial ground truth (minimal-DFA run from its initial state).
   bool accepts(std::span<const Symbol> input) const;
+  /// The same over raw bytes, classed through the pattern's map as they
+  /// are stepped (no symbol vector is built).
   bool accepts(std::string_view text) const;
 
  private:

@@ -1,6 +1,5 @@
 #include "engine/pattern.hpp"
 
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -19,8 +18,33 @@
 #include "bundle/writer.hpp"
 #include "core/interface_min.hpp"
 #include "regex/parser.hpp"
+#include "util/lazy_slot.hpp"
 
 namespace rispar {
+
+namespace {
+
+/// The SFA probe's outcome: the budget it ran under and, unless the SFA
+/// exploded past it, the machine and its device.
+struct SfaArtifacts {
+  std::int32_t probe_budget = 0;
+  std::optional<Sfa> sfa;
+  std::optional<SfaDevice> device;  ///< refers to `sfa`, so built in place
+};
+
+/// The SFA slot's probe outcome, probing under `max_states` first if the
+/// slot is empty. The one place sfa() and sfa_device() build it.
+const SfaArtifacts& probed_sfa(const LazySlot<SfaArtifacts>& slot, const Dfa& min_dfa,
+                               std::int32_t max_states) {
+  return slot.get([&](std::optional<SfaArtifacts>& fill) {
+    SfaArtifacts& artifacts = fill.emplace();
+    artifacts.probe_budget = max_states;
+    artifacts.sfa = try_build_sfa(min_dfa, max_states);
+    if (artifacts.sfa.has_value()) artifacts.device.emplace(*artifacts.sfa, min_dfa);
+  });
+}
+
+}  // namespace
 
 struct Pattern::Compiled {
   /// First member so it is destroyed LAST: adopted packed views co-own the
@@ -34,19 +58,13 @@ struct Pattern::Compiled {
   Ridfa ridfa;
   PatternLimits limits;
 
-  // Lazily built artifacts, shared by every copy of the Pattern. call_once
-  // keeps concurrent first uses safe; the structs live behind the shared_ptr
-  // so their addresses are stable for the devices that reference them.
-  mutable std::once_flag searcher_once;
-  mutable std::optional<Dfa> searcher;
-
-  mutable std::once_flag reverse_once;
-  mutable std::optional<ReverseBegins> reverse;
-
-  mutable std::once_flag sfa_once;
-  mutable std::optional<Sfa> sfa;
-  mutable std::optional<SfaDevice> sfa_dev;
-  mutable std::int32_t sfa_probe_budget = 0;  ///< 0 = never probed
+  // Lazily built artifacts, shared by every copy of the Pattern. The slots
+  // keep concurrent first uses safe and stay empty after a throwing build;
+  // they live behind the shared_ptr, so their addresses are stable for the
+  // devices that reference them.
+  LazySlot<Dfa> searcher;
+  LazySlot<ReverseBegins> reverse;
+  LazySlot<SfaArtifacts> sfa;
 };
 
 namespace {
@@ -153,41 +171,38 @@ std::vector<Symbol> Pattern::translate(std::string_view text) const {
 
 const Dfa& Pattern::searcher(std::int32_t max_subset_states) const {
   const Compiled& c = *compiled_;
-  // A throw (ResourceExhausted, or an injected bad_alloc) leaves the once
-  // flag unset, so a later call may retry — possibly with a bigger budget.
+  // A throw (ResourceExhausted, or an injected bad_alloc) leaves the slot
+  // empty, so a later call may retry — possibly with a bigger budget.
   const std::int32_t budget =
       tighter_budget(c.limits.max_subset_states, max_subset_states);
-  std::call_once(c.searcher_once,
-                 [&] { c.searcher.emplace(build_searcher_dfa(c.nfa, budget)); });
-  return *c.searcher;
+  return c.searcher.get(
+      [&](std::optional<Dfa>& slot) { slot.emplace(build_searcher_dfa(c.nfa, budget)); });
 }
 
 const ReverseBegins& Pattern::reverse_begins(std::int32_t max_subset_states) const {
   const Compiled& c = *compiled_;
   const std::int32_t budget =
       tighter_budget(c.limits.max_subset_states, max_subset_states);
-  std::call_once(c.reverse_once,
-                 [&] { c.reverse.emplace(build_reverse_begins(c.nfa, budget)); });
-  return *c.reverse;
+  return c.reverse.get([&](std::optional<ReverseBegins>& slot) {
+    slot.emplace(build_reverse_begins(c.nfa, budget));
+  });
 }
 
 const Sfa* Pattern::sfa(std::int32_t max_states) const {
-  const Compiled& c = *compiled_;
-  std::call_once(c.sfa_once, [&] {
-    c.sfa_probe_budget = max_states;
-    c.sfa = try_build_sfa(c.min_dfa, max_states);
-    if (c.sfa.has_value()) c.sfa_dev.emplace(*c.sfa, c.min_dfa);
-  });
-  return c.sfa.has_value() ? &*c.sfa : nullptr;
+  const SfaArtifacts& artifacts = probed_sfa(compiled_->sfa, compiled_->min_dfa, max_states);
+  return artifacts.sfa.has_value() ? &*artifacts.sfa : nullptr;
 }
 
-std::int32_t Pattern::sfa_probe_budget() const { return compiled_->sfa_probe_budget; }
+std::int32_t Pattern::sfa_probe_budget() const {
+  const SfaArtifacts* artifacts = compiled_->sfa.peek();
+  return artifacts != nullptr ? artifacts->probe_budget : 0;  // 0 = never probed
+}
 
 const PatternLimits& Pattern::limits() const { return compiled_->limits; }
 
 const SfaDevice* Pattern::sfa_device(std::int32_t max_states) const {
-  sfa(max_states);  // force the lazy build (same once_flag)
-  return compiled_->sfa_dev.has_value() ? &*compiled_->sfa_dev : nullptr;
+  const SfaArtifacts& artifacts = probed_sfa(compiled_->sfa, compiled_->min_dfa, max_states);
+  return artifacts.device.has_value() ? &*artifacts.device : nullptr;
 }
 
 // --- binary bundles ---
@@ -245,19 +260,20 @@ Pattern Pattern::from_bundle(std::shared_ptr<const bundle::MappedBundle> bundle,
   compiled->nfa = std::move(loaded.nfa);
   compiled->min_dfa = std::move(loaded.min_dfa);
   compiled->ridfa = std::move(loaded.ridfa);
-  // Pre-seed the lazy artifacts the bundle shipped: consuming the once_flag
-  // now means searcher()/sfa() hand back the mapped machines instead of
-  // rebuilding them. A bundle WITHOUT these sections leaves the flags
-  // unconsumed — the artifacts rebuild lazily, like a text-loaded pattern.
+  // Pre-seed the lazy artifacts the bundle shipped: filling the slots now
+  // means searcher()/sfa() hand back the mapped machines instead of
+  // rebuilding them. A bundle WITHOUT these sections leaves the slots
+  // empty — the artifacts rebuild lazily, like a text-loaded pattern.
   if (loaded.searcher.has_value()) {
-    std::call_once(compiled->searcher_once,
-                   [&] { compiled->searcher = std::move(loaded.searcher); });
+    compiled->searcher.get(
+        [&](std::optional<Dfa>& slot) { slot = std::move(loaded.searcher); });
   }
   if (loaded.sfa.has_value()) {
-    std::call_once(compiled->sfa_once, [&] {
-      compiled->sfa_probe_budget = loaded.sfa_probe_budget;
-      compiled->sfa = std::move(loaded.sfa);
-      compiled->sfa_dev.emplace(*compiled->sfa, compiled->min_dfa);
+    compiled->sfa.get([&](auto& slot) {
+      SfaArtifacts& artifacts = slot.emplace();
+      artifacts.probe_budget = loaded.sfa_probe_budget;
+      artifacts.sfa = std::move(loaded.sfa);
+      artifacts.device.emplace(*artifacts.sfa, compiled->min_dfa);
     });
   }
   return Pattern(std::move(compiled));

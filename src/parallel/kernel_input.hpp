@@ -128,7 +128,7 @@ ByteReader<T> reader(const PackedTable& table, const ByteSpan& bytes) {
 }
 
 /// Symbol `i` of an input, for the scans that step one unit at a time
-/// outside the kernels (the exact-begin reverse scan).
+/// outside the kernels (the exact-begin reverse scan, Engine::accepts).
 inline Symbol symbol_at(std::span<const Symbol> symbols, std::size_t i) {
   return symbols[i];
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
-#include <type_traits>
 
 #include "parallel/chunking.hpp"
 #include "parallel/kernel_input.hpp"
@@ -255,54 +254,54 @@ FindChunk<Hits> scan_chunk(const Dfa& dfa, const Reader& in, State start,
   return chunk;
 }
 
-/// Joins one batch of chunk runs: walks the consistent start's chain
-/// through each chunk's merge forest, resolving every hit's begin and
-/// emitting (begin, end) as ABSOLUTE positions (`origin` is the absolute
-/// offset of runs[0]'s first symbol; each chunk's nodes follow its sorted
-/// `starts`, which must contain the consistent run's boundary state).
-/// `state` enters as the consistent run's state before the batch and
-/// leaves as its state after it; `carried_sep` is the absolute last
-/// separator and advances with the walk — which is exactly the state a
-/// streaming caller keeps between windows. Shared by the one-shot
-/// find_matches (origin 0, one batch) and stream_find_feed (one batch per
-/// window). Within a chunk a hit whose separator predates the chunk (or,
-/// under convergence, predates a merge in its chain) falls back first to
-/// the chain's own earlier tracker and ultimately to `carried_sep`. With
-/// HitCount runs (count_matches) there is nothing to resolve: `emit`
-/// receives each chain node's number of shared hits instead.
-template <typename Hits, typename Emit>
-void join_find_chunks(const std::vector<FindChunk<Hits>>& runs,
-                      std::span<const ChunkSpan> chunks, std::uint64_t origin,
-                      State& state, std::uint64_t& carried_sep, bool& died, Emit&& emit) {
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
+/// Where the consistent run's chain enters one chunk, as walk_chains found
+/// it: all emit_chain needs to re-walk that chain on its own.
+struct ChainEntry {
+  std::size_t node = 0;           ///< the chain's first node (the boundary state's)
+  std::uint64_t carried_sep = 0;  ///< absolute separator carried into the chunk
+  std::uint64_t hits = 0;         ///< hits on the chain
+};
+
+/// The join's serial pass, O(chunks + chain nodes), shared by count, find
+/// and streaming find: walks the consistent start's chain through each
+/// chunk's merge forest and records where it enters the chunk and how many
+/// hits it holds. `origin` is the absolute offset of runs[0]'s first symbol;
+/// each chunk's nodes follow its sorted `starts`, which must contain the
+/// consistent run's boundary state. `state` enters as the consistent run's
+/// state before the batch and leaves as its state after it; `carried_sep`
+/// is the absolute last separator and advances with the walk — exactly the
+/// state a streaming caller keeps between windows. One entry per chunk the
+/// run reached: the walk stops after the chunk where it died.
+template <typename Hits>
+std::vector<ChainEntry> walk_chains(const std::vector<FindChunk<Hits>>& runs,
+                                    std::span<const ChunkSpan> chunks,
+                                    std::uint64_t origin, State& state,
+                                    std::uint64_t& carried_sep, bool& died) {
+  std::vector<ChainEntry> chains;
+  chains.reserve(chunks.size());
+  for (std::size_t i = 0; i < chunks.size() && !died; ++i) {
     const FindChunk<Hits>& run = runs[i];
-    const std::uint64_t base = origin + chunks[i].begin;
-    // Walk the consistent start's chain through the merge forest. `floor`
-    // is the position where the previous chain node merged into the current
-    // one — separators recorded before it belong to the current node's own
-    // history, not the consistent run's, and substitute through `sub`.
     const auto at = std::lower_bound(run.starts.begin(), run.starts.end(), state);
     if (at == run.starts.end() || *at != state)
       throw std::logic_error("find join: boundary state missing from the chunk's starts");
-    auto node_index = static_cast<std::size_t>(at - run.starts.begin());
+    ChainEntry& chain = chains.emplace_back();
+    chain.node = static_cast<std::size_t>(at - run.starts.begin());
+    chain.carried_sep = carried_sep;
+    // `floor` is the position where the previous chain node merged into the
+    // current one — separators recorded before it belong to the current
+    // node's own history, not the consistent run's, and substitute through
+    // `sub`.
+    std::size_t node_index = chain.node;
     std::size_t hit_base = 0;
     std::int64_t floor = 0;
     std::int64_t sub = -1;
     while (true) {
       const FindNode<Hits>& node = run.nodes[node_index];
-      if constexpr (std::is_same_v<Hits, HitCount>) {
-        emit(node.hits.size() - hit_base);
-      } else {
-        for (std::size_t h = hit_base; h < node.hits.size(); ++h) {
-          const FindHit& hit = node.hits[h];
-          const std::int64_t sep = hit.sep >= floor ? hit.sep : sub;
-          emit(sep >= 0 ? base + static_cast<std::uint64_t>(sep) : carried_sep,
-               base + hit.pos);
-        }
-      }
+      chain.hits += node.hits.size() - hit_base;
       if (node.parent == -1) {
         const std::int64_t final_sep = node.last_sep >= floor ? node.last_sep : sub;
-        if (final_sep >= 0) carried_sep = base + static_cast<std::uint64_t>(final_sep);
+        if (final_sep >= 0)
+          carried_sep = origin + chunks[i].begin + static_cast<std::uint64_t>(final_sep);
         if (node.dead) {
           died = true;
         } else {
@@ -315,7 +314,41 @@ void join_find_chunks(const std::vector<FindChunk<Hits>>& runs,
       hit_base = node.parent_base;
       node_index = static_cast<std::size_t>(node.parent);
     }
-    if (died) break;
+  }
+  return chains;
+}
+
+/// The join's emit for one chunk: re-walks the chain walk_chains recorded
+/// and hands `emit` (begin, end) — ABSOLUTE, `base` being the chunk's first
+/// position — for each of its hits with chain ordinal in [from, to). A hit
+/// whose separator predates the chunk (or, under convergence, predates a
+/// merge in its chain) falls back first to the chain's own earlier tracker
+/// and ultimately to the separator carried into the chunk. Reads only its
+/// own chunk's run and `chain`.
+template <typename Emit>
+void emit_chain(const FindChunk<std::vector<FindHit>>& run, const ChainEntry& chain,
+                std::uint64_t base, std::uint64_t from, std::uint64_t to, Emit&& emit) {
+  std::size_t node_index = chain.node;
+  std::size_t hit_base = 0;
+  std::int64_t floor = 0;
+  std::int64_t sub = -1;
+  std::uint64_t ordinal = 0;  // chain ordinal of the node's first hit
+  while (ordinal < to) {
+    const FindNode<std::vector<FindHit>>& node = run.nodes[node_index];
+    const std::uint64_t count = node.hits.size() - hit_base;
+    const std::size_t last = hit_base + std::min(count, to - ordinal);
+    for (std::size_t h = hit_base + (from > ordinal ? from - ordinal : 0); h < last; ++h) {
+      const FindHit& hit = node.hits[h];
+      const std::int64_t sep = hit.sep >= floor ? hit.sep : sub;
+      emit(sep >= 0 ? base + static_cast<std::uint64_t>(sep) : chain.carried_sep,
+           base + hit.pos);
+    }
+    ordinal += count;
+    if (node.parent == -1) break;
+    sub = node.last_sep >= floor ? node.last_sep : sub;
+    floor = node.merge_pos;
+    hit_base = node.parent_base;
+    node_index = static_cast<std::size_t>(node.parent);
   }
 }
 
@@ -599,15 +632,17 @@ QueryResult count_input(const Dfa& dfa, const Input& input, ThreadPool& pool,
       reach_chunks<HitCount>(dfa, input, chunks, dfa.initial(), pool, options, gov);
   result.reach_seconds = reach_clock.seconds();
 
-  // Join: walk the unique consistent path and sum its hits. All chunks'
-  // transitions are speculative work actually executed, so they count even
-  // when the true path dies early (convention: parallel/ca_run.hpp).
+  // Join: the walk alone — the unique consistent path's hits, summed. All
+  // chunks' transitions are speculative work actually executed, so they
+  // count even when the true path dies early (convention:
+  // parallel/ca_run.hpp).
   Stopwatch join_clock;
   for (const auto& run : runs) result.transitions += run.transitions;
   State state = dfa.initial();
   std::uint64_t carried_sep = 0;
-  join_find_chunks(runs, chunks, 0, state, carried_sep, result.died,
-                   [&](std::size_t hits) { result.matches += hits; });
+  for (const ChainEntry& chain :
+       walk_chains(runs, chunks, 0, state, carried_sep, result.died))
+    result.matches += chain.hits;
   result.accepted = result.matches > 0;
   result.join_seconds = join_clock.seconds();
   return result;
@@ -634,30 +669,40 @@ QueryResult find_input(const Dfa& dfa, const Input& input, ThreadPool& pool,
                                                        pool, options, gov);
   result.reach_seconds = reach_clock.seconds();
 
-  // Join: walk the unique consistent path, resolving each hit's begin
-  // (join_find_chunks). Paging trims the emitted window but never the
-  // count. Transition accounting: parallel/ca_run.hpp.
+  // Join, in two passes. The walk (serial, O(chunks + chain nodes)) finds
+  // each chunk's consistent chain and its hit count, so `matches` is known
+  // before any Match is built and the page [lo, hi) of global ordinals
+  // reserves `positions` once. The emit then has every chunk overlapping the
+  // page append its Matches, resolving exact begins as it goes.
+  // Transition accounting: parallel/ca_run.hpp.
   Stopwatch join_clock;
   for (const auto& run : runs) result.transitions += run.transitions;
   State state = dfa.initial();
   std::uint64_t carried_sep = 0;  // global: position 0 is always a separator
-  join_find_chunks(runs, chunks, 0, state, carried_sep, result.died,
-                   [&](std::uint64_t begin, std::uint64_t end) {
-                     if (result.matches >= options.offset &&
-                         result.positions.size() < options.limit) {
-                       // Exact begins: confirm backwards from the end. The
-                       // approximate begin is a sound scan floor only when
-                       // the artifact certifies separators pure; otherwise
-                       // the occurrence may straddle it and the scan runs
-                       // to the text start.
-                       if (exact)
-                         begin = resolve_exact_begin(
-                             reverse->dfa, input, end,
-                             reverse->separators_sound ? begin : 0, begin);
-                       result.positions.push_back({pattern_id, begin, end});
-                     }
-                     ++result.matches;
-                   });
+  const std::vector<ChainEntry> chains =
+      walk_chains(runs, chunks, 0, state, carried_sep, result.died);
+  for (const ChainEntry& chain : chains) result.matches += chain.hits;
+  const std::uint64_t lo = std::min<std::uint64_t>(options.offset, result.matches);
+  const std::uint64_t hi = lo + std::min<std::uint64_t>(options.limit, result.matches - lo);
+  result.positions.reserve(static_cast<std::size_t>(hi - lo));
+  const auto emit = [&](std::uint64_t begin, std::uint64_t end) {
+    // Exact begins: confirm backwards from the end. The approximate begin
+    // is a sound scan floor only when the artifact certifies separators
+    // pure; otherwise the occurrence may straddle it and the scan runs to
+    // the text start.
+    if (exact)
+      begin = resolve_exact_begin(reverse->dfa, input, end,
+                                  reverse->separators_sound ? begin : 0, begin);
+    result.positions.push_back({pattern_id, begin, end});
+  };
+  std::uint64_t first = 0;  // the global ordinal of chunk i's first hit
+  for (std::size_t i = 0; i < chains.size() && first < hi; ++i) {
+    const std::uint64_t next = first + chains[i].hits;
+    if (next > lo)
+      emit_chain(runs[i], chains[i], chunks[i].begin, std::max(lo, first) - first,
+                 std::min(hi, next) - first, emit);
+    first = next;
+  }
   result.accepted = result.matches > 0;
   result.join_seconds = join_clock.seconds();
   return result;
@@ -719,30 +764,34 @@ void stream_find_input(const Dfa& dfa, FindCarry& carry, const Input& window,
       reach_chunks<std::vector<FindHit>>(dfa, window, chunks, state, pool, options, gov);
 
   // Join, serialized per window: the carried (state, last separator) enter
-  // the walk and leave updated for the next window; hits emit through the
-  // sink with absolute offsets. Exact begins resolve over the carried tail
-  // followed by the window, read in place: [history_base, consumed).
+  // the walk and leave updated for the next window; then each chunk's chain
+  // emits in window order straight into the sink, with absolute offsets.
+  // Exact begins resolve over the carried tail followed by the window, read
+  // in place: [history_base, consumed).
   const detail::HistoryView<Input> text{carry.history, window};
   for (const auto& run : runs) transitions += run.transitions;
-  join_find_chunks(runs, chunks, origin, state, last_sep, died,
-                   [&](std::uint64_t begin, std::uint64_t end) {
-                     if (exact) {
-                       // Confirm backwards over the retained history. Every
-                       // separator a hit can carry postdates the last
-                       // truncation point, so the floor never leaves the
-                       // tail; positions map through history_base.
-                       const std::uint64_t floor =
-                           reverse->separators_sound ? begin : carry.history_base;
-                       begin = carry.history_base +
-                               resolve_exact_begin(
-                                   reverse->dfa, text,
-                                   end - carry.history_base,
-                                   floor - carry.history_base,
-                                   begin - carry.history_base);
-                     }
-                     ++matches;
-                     sink(Match{pattern_id, begin, end});
-                   });
+  const std::vector<ChainEntry> chains =
+      walk_chains(runs, chunks, origin, state, last_sep, died);
+  for (std::size_t i = 0; i < chains.size(); ++i) {
+    emit_chain(runs[i], chains[i], origin + chunks[i].begin, 0, chains[i].hits,
+               [&](std::uint64_t begin, std::uint64_t end) {
+                 if (exact) {
+                   // Confirm backwards over the retained history. Every
+                   // separator a hit can carry postdates the last
+                   // truncation point, so the floor never leaves the tail;
+                   // positions map through history_base.
+                   const std::uint64_t floor =
+                       reverse->separators_sound ? begin : carry.history_base;
+                   begin = carry.history_base +
+                           resolve_exact_begin(reverse->dfa, text,
+                                               end - carry.history_base,
+                                               floor - carry.history_base,
+                                               begin - carry.history_base);
+                 }
+                 sink(Match{pattern_id, begin, end});
+               });
+    matches += chains[i].hits;
+  }
 
   if (exact && died) {
     // Nothing downstream can match — drop the tail outright.

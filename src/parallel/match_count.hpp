@@ -20,15 +20,30 @@
 // find, streaming find, and counting. Each chunk run records, per hit, the
 // chunk-local end position and the run's *last separator* (the last
 // position at which its state was the searcher's initial state again, i.e.
-// no partial occurrence pending); find_matches' join resolves separators
-// that predate a chunk (or a convergence merge) through the carried/global
-// tracker, emits WHERE the occurrences are (Match — semantics documented on
-// the struct in engine/query.hpp), and pages the emitted list with
-// QueryOptions::offset/limit while still counting every occurrence in
-// `matches`. Counting is the same find with a hit COUNTER in place of the
-// hit list: the join sums the consistent chain's hits and no position is
-// ever stored, so count_matches equals find_matches' totals, death and
-// transitions under the same options.
+// no partial occurrence pending).
+//
+// ## The join: one walk, then the emit
+//
+// The join is two passes, shared by every shape. The WALK (serial,
+// O(chunks + chain nodes)) looks the boundary state up in each chunk's
+// starts, follows the consistent start's chain through the merge forest,
+// and records per chunk the chain's first node, the separator carried into
+// the chunk and the chain's hit count; it advances the carried state,
+// separator and death exactly as one serial scan would. Counting is the
+// walk alone, over a hit COUNTER in place of the hit list, so no position
+// is ever stored and count_matches equals find_matches' totals, death and
+// transitions under the same options. One-shot find sums the counts
+// before emitting: `matches` is their total, QueryOptions::offset/limit
+// become the range [lo, hi) of global hit ordinals, and `positions` is
+// reserved once for hi − lo. The EMIT then has each chunk overlapping [lo, hi) re-walk its
+// chain, resolve separators that predate the chunk (or a convergence
+// merge) through the chain's own trackers and the carried separator, and
+// append WHERE the occurrences are (Match — semantics documented on the
+// struct in engine/query.hpp), resolving exact begins as it goes; chunks
+// before the page are skipped by their counts, unread. The emit runs on the
+// caller, after the reach batch: a query admitted to the pool submits no
+// second batch. Streaming find runs the same walk and the same per-chunk
+// emitter in window order straight into its sink.
 //
 // Counting takes `chunks` and `convergence` of the unified QueryOptions and
 // always runs the default (fused) kernel; knobs it cannot honor (lookback,

@@ -18,7 +18,7 @@
 //  * "packed.alloc"   — packed-table build fails as std::bad_alloc
 //  * "reverse.build"  — the reverse-begins artifact build (Pattern::
 //                       reverse_begins) throws FaultInjected; the lazy
-//                       once-flag must stay unset so a retry can succeed
+//                       slot must stay empty so a retry can succeed
 //  * "mpstream.merge" — MultiStreamSession's window merge throws after the
 //                       per-pattern scans ran; the session must poison
 //  * "checkpoint.encode" — serializing a session checkpoint fails; the

@@ -154,7 +154,7 @@ TEST_F(FaultInject, PatternSetSurvivesInjectedFaults) {
 TEST_F(FaultInject, ReverseBuildFaultLeavesThePatternRetryable) {
   // Compile clean, then arm at rate 1.0: the reverse-begins build is a
   // serial path whose FIRST probe is the reverse.build site, so the throw
-  // is deterministic. The lazy once-flag must stay unset on failure — the
+  // is deterministic. The lazy slot must stay empty on failure — the
   // SAME Pattern object retries successfully after disarm, and the rebuilt
   // artifact serves exact begins correctly.
   fault::disable();

@@ -358,12 +358,18 @@ struct OccupiedPool {
   }
 
   ~OccupiedPool() {
-    gate.set_value();  // release the blocked tasks
+    release();
     submitter.join();
+  }
+
+  /// Lets the blocked tasks finish; safe to call more than once.
+  void release() {
+    if (!released.exchange(true)) gate.set_value();
   }
 
   ThreadPool pool;
   std::atomic<int> started{0};
+  std::atomic<bool> released{false};
   std::promise<void> gate;
   std::shared_future<void> gate_future;
   std::thread submitter;
@@ -416,13 +422,10 @@ TEST(PoolAdmission, BlockPolicyAdmitsOnceSpaceFrees) {
     OccupiedPool occupied({.max_injected = 1, .policy = OverloadPolicy::kBlock});
     std::thread releaser([&] {
       std::this_thread::sleep_for(20ms);
-      occupied.gate.set_value();
+      occupied.release();
     });
     occupied.pool.run(1, [&](std::size_t) { ran = true; });  // blocks, then runs
     releaser.join();
-    occupied.submitter.join();
-    occupied.submitter = std::thread([] {});  // dtor gate already released
-    occupied.gate = std::promise<void>();     // avoid double set_value in dtor
   }
   EXPECT_TRUE(ran.load());
 }
@@ -460,6 +463,91 @@ TEST(PoolAdmission, NestedSubmissionsNeverDeadlockABoundedPool) {
     pool.run(16, [&](std::size_t) { inner.fetch_add(1); });
   });
   EXPECT_EQ(inner.load(), 32);
+}
+
+/// A dense-hit find at c=16: every chunk holds hits, so the join has a
+/// Match to emit from each of them after the reach batch.
+struct DenseFind {
+  Pattern pattern = Pattern::compile("aaaa[ab]{6}");
+  std::string text;
+  std::vector<Match> oracle;
+
+  DenseFind() {
+    Prng prng(0xE417u);
+    text.resize(1u << 16);
+    for (char& ch : text) ch = prng.next_bool(0.8) ? 'a' : 'b';
+    const Dfa& searcher = pattern.searcher();
+    oracle = find_matches_serial(searcher, searcher.symbols().translate(text)).positions;
+  }
+
+  QueryResult find(ThreadPool& pool) const {
+    const Dfa& searcher = pattern.searcher();
+    return find_matches(searcher, ByteSpan{text, searcher.symbols()}, pool,
+                        {.chunks = 16});
+  }
+};
+
+TEST(PoolAdmission, AdmittedFindIsNeverRefusedByItsEmit) {
+  const DenseFind dense;
+
+  // On a full queue the find is refused at its reach, before any task ran,
+  // and counted once.
+  {
+    OccupiedPool occupied({.max_injected = 1, .policy = OverloadPolicy::kReject});
+    const PoolStats before = occupied.pool.stats();
+    EXPECT_THROW(dense.find(occupied.pool), ResourceExhausted);
+    const PoolStats after = occupied.pool.stats();
+    EXPECT_EQ(after.executed, before.executed);
+    EXPECT_EQ(after.rejected, before.rejected + 1);
+  }
+
+  // Under contention every find either is refused before any of its tasks
+  // ran or returns the oracle's matches. An occupier keeps submitting
+  // batches of sleeping tasks that outnumber the pool's executors, so a
+  // find's reach meets a full queue some of the time — and so would an
+  // admission-checked emit after an admitted reach.
+  // Task accounting tells the two refusals apart: a refused find must add
+  // no executed task, an answered one exactly what it adds unloaded.
+  ThreadPool pool(1, {.max_injected = 1, .policy = OverloadPolicy::kReject});
+  const PoolStats calibrate = pool.stats();
+  ASSERT_EQ(dense.find(pool).positions, dense.oracle);
+  const std::uint64_t tasks_per_find = pool.stats().executed - calibrate.executed;
+
+  std::atomic<bool> stop{false};
+  std::uint64_t occupier_tasks = 0;
+  std::uint64_t occupier_refusals = 0;
+  const PoolStats before = pool.stats();
+  std::thread occupier([&] {
+    while (!stop.load()) {
+      try {
+        pool.run(4, [](std::size_t) { std::this_thread::sleep_for(300us); });
+        occupier_tasks += 4;
+      } catch (const ResourceExhausted&) {
+        ++occupier_refusals;
+      }
+      std::this_thread::sleep_for(500us);
+    }
+  });
+  std::uint64_t answered = 0;
+  std::uint64_t refused = 0;
+  for (int i = 0; i < 300; ++i) {
+    try {
+      const QueryResult result = dense.find(pool);
+      EXPECT_EQ(result.positions, dense.oracle) << "query " << i;
+      ++answered;
+    } catch (const ResourceExhausted& error) {
+      EXPECT_EQ(error.resource(), "pool admission");
+      ++refused;
+    }
+    std::this_thread::sleep_for(200us);
+  }
+  stop.store(true);
+  occupier.join();
+  const PoolStats after = pool.stats();
+  EXPECT_EQ(after.executed - before.executed,
+            occupier_tasks + answered * tasks_per_find)
+      << answered << " answered, " << refused << " refused";
+  EXPECT_EQ(after.rejected - before.rejected, occupier_refusals + refused);
 }
 
 TEST(PoolAdmission, StatsCountersTrack) {
