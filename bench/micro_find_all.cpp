@@ -84,6 +84,48 @@ BENCHMARK(BM_FindMatches)
     ->Args({32, 1, 2})
     ->Unit(benchmark::kMillisecond);
 
+// The multi-start find path: BM_FindMatches' searcher forgets its past
+// within a few symbols, so every chunk there collapses to one start. Over
+// runs of 'a' the searcher of x(a{8})*y cycles eight phases that never
+// collapse, so with no 'x' or 'y' within 4 KiB before a chunk boundary the
+// lookback probe keeps nine starts (`starts` counter: chunk 1's). Each
+// 8 KiB block holds one episode x a^512 y, a hit. Independent runs step
+// all nine lanes through the chunk; convergent runs merge at the chunk's
+// first 'x' and the survivor finishes as a one-start scan. Args: (chunks,
+// convergence, kernel).
+void BM_FindMatchesMultiStart(benchmark::State& state) {
+  static const Pattern pattern = Pattern::compile("x(a{8})*y");
+  static const std::vector<Symbol> input = [] {
+    std::string text(1u << 20, 'a');
+    for (std::size_t block = 0; block < text.size(); block += 8192) {
+      text[block + 1000] = 'x';
+      text[block + 1000 + 1 + 8 * 64] = 'y';
+    }
+    return pattern.searcher().symbols().translate(text);
+  }();
+  static ThreadPool pool(4);
+  const Dfa& searcher = pattern.searcher();
+  const QueryOptions options = options_from_args(state);
+  for (auto _ : state) {
+    const QueryResult result = find_matches(searcher, input, pool, options);
+    benchmark::DoNotOptimize(result.positions.data());
+  }
+  std::uint64_t probed = 0;
+  const std::size_t chunk = input.size() / options.chunks;
+  state.counters["starts"] = static_cast<double>(
+      chunk_starts(searcher, input, chunk, chunk, searcher.initial(), options.convergence,
+                   probed)
+          .size());
+  state.SetLabel(label_from_args(state) + "/a-runs");
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * input.size()));
+}
+BENCHMARK(BM_FindMatchesMultiStart)
+    ->Args({8, 0, 1})
+    ->Args({8, 0, 2})
+    ->Args({8, 1, 1})
+    ->Args({8, 1, 2})
+    ->Unit(benchmark::kMillisecond);
+
 // Exact-begin resolution layered on the same scan (ISSUE 9): every joined
 // hit additionally walks the cached reverse DFA backwards from its end to
 // the leftmost start. New series — no baseline in earlier BENCH files, so

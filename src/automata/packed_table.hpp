@@ -3,7 +3,7 @@
 // The RI-DFA construction produces small chunk automata (tens to a few
 // hundred states), yet the seed stored every table entry as an int32 in
 // state-major order. The packed copy differs in two ways, both for the
-// benefit of the speculative multi-start kernels (parallel/ca_run.cpp):
+// benefit of the speculative multi-start kernels (parallel/chunk_core.hpp):
 //
 //  * entries use the narrowest unsigned type that can hold `num_states`
 //    plus a dead sentinel, shrinking the working set up to 4× so the hot
@@ -154,8 +154,8 @@ struct PackedRun {
 };
 
 /// Scalar single-start loop shared by the serial oracle (core/serial_match)
-/// and the chunk kernels' single-start / lone-survivor fast paths
-/// (parallel/ca_run). One predictable validity branch per symbol — the
+/// and the one-start scan of the chunk core (parallel/chunk_core.hpp), which
+/// also finishes every lockstep's lone survivor. One predictable validity branch per symbol — the
 /// unsigned cast folds the `< 0` and `>= num_symbols` checks into one
 /// compare.
 template <typename T>
@@ -165,12 +165,14 @@ PackedRun run_packed_single(const PackedTable& table, State start, const Symbol*
   const T* entries = table.data<T>();
   const auto n = static_cast<std::size_t>(table.num_states());
   const auto limit = static_cast<std::uint32_t>(table.num_symbols());
-  T state = static_cast<T>(start);
+  // The state is held as the index it is: each lookup widens once, as it
+  // loads, and no extension sits on the loop's dependency chain.
+  auto state = static_cast<std::size_t>(start);
   for (std::size_t i = 0; i < length; ++i) {
     if (static_cast<std::uint32_t>(input[i]) >= limit) return {kDeadState, i};
-    state = entries[static_cast<std::size_t>(input[i]) * n +
-                    static_cast<std::size_t>(state)];
-    if (state == kDead) return {kDeadState, i};
+    state =
+        static_cast<std::size_t>(entries[static_cast<std::size_t>(input[i]) * n + state]);
+    if (state == static_cast<std::size_t>(kDead)) return {kDeadState, i};
   }
   return {static_cast<State>(state), length};
 }
@@ -200,10 +202,11 @@ template <typename T>
 PackedRun run_packed_bytes(const ByteColumns<T>& columns, State start, const char* input,
                            std::size_t length) {
   constexpr T kDead = PackedDead<T>::value;
-  T state = static_cast<T>(start);
+  auto state = static_cast<std::size_t>(start);  // as in run_packed_single
   for (std::size_t i = 0; i < length; ++i) {
-    state = columns[static_cast<unsigned char>(input[i])][state];
-    if (state == kDead) return {kDeadState, i};
+    state =
+        static_cast<std::size_t>(columns[static_cast<unsigned char>(input[i])][state]);
+    if (state == static_cast<std::size_t>(kDead)) return {kDeadState, i};
   }
   return {static_cast<State>(state), length};
 }

@@ -42,32 +42,36 @@
 //
 // ## Kernel implementations
 //
-// The deterministic kernels exist in three implementations, selected by
-// DetChunkOptions::kernel and proven equivalent by property tests:
+// run_chunk_det is the λ store of the one chunk core
+// (parallel/chunk_core.hpp), which also runs the lookback probe and the
+// finding kernels of parallel/match_count. One dispatch rule picks the
+// step; DetChunkOptions::kernel selects among three, proven equivalent by
+// property tests:
 //
-//  * kFused (default) — single pass over the chunk for ALL starts.
-//    Non-convergent mode runs lockstep over a compacted SoA state array
-//    (one symbol load, N table lookups with the hot rows shared in cache);
-//    convergent mode replaces the per-symbol hash probes of the seed with
-//    an epoch-stamped dense state→group array and splices member lists
-//    through a flat next-pointer scheme, so group merging never allocates.
-//    Both run on the width-specialized packed table (automata/
-//    packed_table.hpp); an alien unit reads the table's dead column, so
-//    the inner loops carry no validity check.
-//  * kSimd — the same lockstep structure, but each symbol advances the
-//    whole live block through ONE vector gather over the packed column
+//  * one start (any packed kernel) — the one-start scan: one run over the
+//    chunk on the width-specialized packed table (automata/
+//    packed_table.hpp), no SoA bookkeeping. A lockstep left with one live
+//    run hands it to the same scan.
+//  * kFused (default) — single pass over the chunk for ALL starts: a
+//    lockstep over a compacted SoA lane array (one symbol load, N table
+//    lookups with the hot column shared in cache). Convergent mode
+//    replaces the seed's per-symbol hash probes with an epoch-stamped
+//    dense state→lane array; a merge records the merged start's parent,
+//    and λ and distinct_ends are read off that forest, so merging never
+//    allocates. An alien unit reads the table's dead column, so the inner
+//    loops carry no validity check.
+//  * kSimd — from 8 starts, the same lockstep with each symbol advancing
+//    the whole live block through ONE vector gather over the packed column
 //    (util/simd_gather.hpp: AVX2 vpgatherdd with i32-widened indices for
 //    the u8/u16 widths, or the portable unrolled fallback — picked once at
 //    runtime by util/cpuid.hpp, so kSimd runs everywhere and never
-//    rejects). Dead runs are compacted out of the index vector after every
-//    symbol so the gather block stays dense; convergent mode gathers the
-//    group states and reuses the epoch-stamped merge bookkeeping on the
-//    gathered buffer. The lockstep backend takes validated symbols, so
-//    byte input is translated one ≤512-byte block at a time into a stack
-//    buffer. Results are bit-identical to kFused/kReference.
+//    rejects); below 8 starts the scalar lockstep. The independent mode
+//    runs whole validated blocks through the AdvanceSpanFn backend, byte
+//    input translated one ≤512-byte block at a time into a stack buffer.
+//    Results are bit-identical to kFused/kReference.
 //  * kReference — the seed implementations (start-at-a-time independent
-//    runs; unordered_map convergence), kept as the oracle for the property
-//    tests and for A/B benchmarks.
+//    runs; unordered_map convergence), kept verbatim in ca_run.cpp as the
+//    oracle for the property tests and for A/B benchmarks.
 //
 // Run convergence itself (merging runs that land in the same state at the
 // same position — the Mytkowicz-style optimization the paper lists as
@@ -92,8 +96,8 @@ struct DetChunkResult {
   /// Distinct end states of the surviving runs, in group-creation order —
   /// populated by the CONVERGENT kernels only (where the surviving groups
   /// carry exactly this set for free). Consumers that need the deduplicated
-  /// λ image (e.g. the look-back path of DfaDevice) read it directly
-  /// instead of re-sorting lambda.
+  /// λ image (e.g. the lookback probe, detail::reached_states) read it
+  /// directly instead of re-sorting lambda.
   std::vector<State> distinct_ends;
   std::uint64_t transitions = 0;
 };

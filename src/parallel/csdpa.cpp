@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "parallel/chunk_core.hpp"
 #include "parallel/chunking.hpp"
 #include "parallel/kernel_input.hpp"
 #include "util/stopwatch.hpp"
@@ -103,18 +104,17 @@ WindowRun DfaDevice::window_body(StreamCarry& carry, const Input& input, ThreadP
     // Classic CSDPA: speculate on all of Q.
     if (options.lookback == 0) return run_chunk_det(dfa_, span, all_states_, run_options);
     // Look-back: advance every state over the window preceding the
-    // boundary (convergent kernel — survivors collapse quickly), then
-    // speculate only from the surviving groups' end states, which the
-    // convergent kernel hands over deduplicated in distinct_ends.
+    // boundary (convergent — survivors collapse quickly), then speculate
+    // only from the distinct survivors: the probe of chunk_starts.
     const std::size_t window_len = std::min(options.lookback, at.begin);
-    const DetChunkResult probe = run_chunk_det(
+    std::uint64_t probed = 0;
+    const std::vector<State> starts = detail::reached_states(
         dfa_, input.subspan(at.begin - window_len, window_len), all_states_,
-        DetChunkOptions{.convergence = true, .kernel = options.kernel,
-                        .governor = governor});
-    DetChunkResult result = run_chunk_det(dfa_, span, probe.distinct_ends, run_options);
+        /*convergence=*/true, probed, governor);
+    DetChunkResult result = run_chunk_det(dfa_, span, starts, run_options);
     // The probe work is real speculative overhead; account for it
     // (accounting convention: parallel/ca_run.hpp).
-    result.transitions += probe.transitions;
+    result.transitions += probed;
     return result;
   };
   // Join (the paper's, serial): PLAS as a bitset over DFA states; λ_i

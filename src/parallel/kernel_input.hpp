@@ -1,6 +1,7 @@
 // The two inputs of the packed-table chunk kernels, behind one reader
-// interface, so parallel/ca_run.cpp and parallel/match_count.cpp write each
-// kernel once and instantiate it for both:
+// interface, so the one chunk core (parallel/chunk_core.hpp: its one-start
+// scan and its scalar and gather lockstep steps, for recognize, count and
+// find alike) is written once and instantiated for both:
 //
 //  * SymbolReader — a pre-translated symbol span (streaming windows, tests,
 //    callers that translate once). A symbol outside the table's alphabet

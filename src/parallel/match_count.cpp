@@ -4,9 +4,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "parallel/chunk_core.hpp"
 #include "parallel/chunking.hpp"
-#include "parallel/kernel_input.hpp"
-#include "util/simd_gather.hpp"
 #include "util/stopwatch.hpp"
 
 namespace rispar {
@@ -58,201 +57,11 @@ Symbol symbol_at(const HistoryView<Input>& view, std::size_t i) {
 
 namespace {
 
-/// One recorded occurrence of a chunk run: `pos` is the chunk-local end
-/// position (1-based: after consuming `pos` symbols) and `sep` the run's
-/// last separator at that moment — chunk-local, or -1 when the run has not
-/// passed through the initial state since the chunk began (the begin then
-/// resolves through the join's carried tracker).
-struct FindHit {
-  std::uint64_t pos;
-  std::int64_t sep;
-};
-
-/// The hit store of count_matches: the kernels' push_back/size bookkeeping
-/// over a bare counter, so counting runs the finding kernels in O(states)
-/// memory per chunk instead of O(hits).
-struct HitCount {
-  std::size_t n = 0;
-  void push_back(const FindHit& /*hit*/) { ++n; }
-  std::size_t size() const { return n; }
-};
-
-/// One chunk run of the kernels. While a run leads (no parent) it records
-/// its own hits and separator tracker; when convergence merges it into
-/// `parent` at `merge_pos`, everything from the parent's hit store at
-/// index >= parent_base on is shared, with `last_sep` frozen as the run's
-/// own history up to the merge. Reconstruction happens at JOIN time, only
-/// for the one consistent start per chunk — per-start hit lists are never
-/// materialized. `Hits` is std::vector<FindHit> for finding, HitCount for
-/// counting.
-template <typename Hits>
-struct FindNode {
-  State state = kDeadState;
-  Hits hits;
-  std::int64_t last_sep = -1;
-  std::int32_t parent = -1;
-  std::size_t parent_base = 0;
-  std::int64_t merge_pos = 0;
-  bool dead = false;
-};
-
-template <typename Hits>
-struct FindChunk {
-  std::vector<State> starts;          ///< sorted, distinct (chunk_starts)
-  std::vector<FindNode<Hits>> nodes;  ///< one per start, in `starts` order
-  std::uint64_t transitions = 0;
-};
-
-/// Step policy of the reference finding kernel: plain row-table lookups
-/// over the chunk's symbols with the per-symbol range check, the
-/// oracle-side implementation.
-struct RowStep {
-  const Dfa& dfa;
-  std::span<const Symbol> symbols;
-  Symbol symbol = 0;
-
-  std::size_t size() const { return symbols.size(); }
-  bool prepare(std::size_t pos) {
-    symbol = symbols[pos];
-    return symbol >= 0 && symbol < dfa.num_symbols();
-  }
-  State advance(State state) const { return dfa.row(state)[symbol]; }
-};
-
-/// Step policy of the fused finding kernel: the width-packed symbol-major
-/// table read through a kernel-input reader (symbols or bytes), one column
-/// base per unit hoisted out of the per-run loop (same mechanism as the
-/// lockstep kernels in ca_run.cpp). An alien unit reads the dead column,
-/// so every run dies at its lookup.
-template <typename T, typename Reader>
-struct PackedStep {
-  const Reader& in;
-  const T* column = nullptr;
-
-  std::size_t size() const { return in.size(); }
-  bool prepare(std::size_t pos) {
-    column = in.column(pos);
-    return true;
-  }
-  State advance(State state) const {
-    const T next = column[static_cast<std::size_t>(state)];
-    return next == PackedDead<T>::value ? kDeadState : static_cast<State>(next);
-  }
-};
-
-/// The one scalar kernel: lockstep over the live runs (dead runs compacted
-/// out), recording (end, last-separator) per hit. With kConvergent, runs
-/// landing in the same state at the same position share all future hits:
-/// the merged run executes (and counts transitions) once from the merge
-/// point on, and the merge forest itself is returned so the join resolves
-/// only the consistent start's chain.
-template <bool kConvergent, typename Hits, typename Step>
-FindChunk<Hits> find_chunk(const Dfa& dfa, std::span<const State> starts, Step step,
-                           const QueryGovernor* gov) {
-  const State initial = dfa.initial();
-  FindChunk<Hits> chunk;
-  chunk.nodes.resize(starts.size());
-  std::vector<std::int32_t> active;
-  active.reserve(starts.size());
-  for (std::size_t s = 0; s < starts.size(); ++s) {
-    FindNode<Hits>& node = chunk.nodes[s];
-    node.state = starts[s];  // starts are distinct states — no merges yet
-    if (starts[s] == initial) node.last_sep = 0;
-    active.push_back(static_cast<std::int32_t>(s));
-  }
-
-  std::vector<std::int32_t> owner;
-  std::vector<State> touched;
-  if constexpr (kConvergent)
-    owner.assign(static_cast<std::size_t>(dfa.num_states()), -1);
-
-  std::int64_t pos = 0;
-  GovPoll poll(gov);
-  for (std::size_t unit = 0; unit < step.size(); ++unit) {
-    poll.step();
-    if (active.empty()) break;
-    if (!step.prepare(unit)) {
-      // Alien symbol: every run dies without the symbol being counted.
-      for (const std::int32_t idx : active)
-        chunk.nodes[static_cast<std::size_t>(idx)].dead = true;
-      active.clear();
-      break;
-    }
-    ++pos;
-    if constexpr (kConvergent) touched.clear();
-    std::size_t write = 0;
-    for (const std::int32_t idx : active) {
-      FindNode<Hits>& node = chunk.nodes[static_cast<std::size_t>(idx)];
-      const State next = step.advance(node.state);
-      if (next == kDeadState) {
-        node.dead = true;  // the dying symbol is not counted
-        continue;
-      }
-      ++chunk.transitions;
-      node.state = next;
-      if (next == initial) node.last_sep = pos;
-      if (dfa.is_final(next))
-        node.hits.push_back({static_cast<std::uint64_t>(pos), node.last_sep});
-      if constexpr (kConvergent) {
-        std::int32_t& claim = owner[static_cast<std::size_t>(next)];
-        if (claim == -1) {
-          claim = idx;
-          touched.push_back(next);
-          active[write++] = idx;
-        } else {
-          // Merge: idx's run is identical to claim's from here on. The
-          // claiming run was advanced earlier this round, so its hit list
-          // already holds this position's hit — sharing starts after it.
-          node.parent = claim;
-          node.parent_base = chunk.nodes[static_cast<std::size_t>(claim)].hits.size();
-          node.merge_pos = pos;
-        }
-      } else {
-        active[write++] = idx;
-      }
-    }
-    active.resize(write);
-    if constexpr (kConvergent)
-      for (const State s : touched) owner[static_cast<std::size_t>(s)] = -1;
-  }
-  return chunk;
-}
-
-/// The one-start kernel: a plain serial scan with the state, the last
-/// separator and the position in registers. Emits the node fields, hits and
-/// accounting find_chunk emits for the same single start — it is the
-/// fused/SIMD path of every chunk whose start set collapsed to one state,
-/// and of every c=1 window.
-template <typename Hits, typename T, typename Reader>
-FindChunk<Hits> scan_chunk(const Dfa& dfa, const Reader& in, State start,
-                           const QueryGovernor* gov) {
-  constexpr T kDead = PackedDead<T>::value;
-  const State initial = dfa.initial();
-  const Bitset& finals = dfa.finals();
-
-  FindChunk<Hits> chunk;
-  FindNode<Hits>& node = chunk.nodes.emplace_back();
-  State state = start;
-  std::int64_t last_sep = start == initial ? 0 : -1;
-  std::size_t pos = 0;
-  GovPoll poll(gov);
-  for (; pos < in.size(); ++pos) {
-    poll.step();
-    const T next = in.column(pos)[static_cast<std::size_t>(state)];
-    if (next == kDead) {
-      node.dead = true;  // the dying (or alien) unit is not counted
-      break;
-    }
-    state = static_cast<State>(next);
-    if (state == initial) last_sep = static_cast<std::int64_t>(pos) + 1;
-    if (finals.test(static_cast<std::size_t>(state)))
-      node.hits.push_back({static_cast<std::uint64_t>(pos) + 1, last_sep});
-  }
-  node.state = state;
-  node.last_sep = last_sep;
-  chunk.transitions = pos;
-  return chunk;
-}
+using detail::FindChunk;
+using detail::FindHit;
+using detail::FindNode;
+using detail::HitCount;
+using detail::HitStore;
 
 /// Where the consistent run's chain enters one chunk, as walk_chains found
 /// it: all emit_chain needs to re-walk that chain on its own.
@@ -352,158 +161,6 @@ void emit_chain(const FindChunk<std::vector<FindHit>>& run, const ChainEntry& ch
   }
 }
 
-/// The SIMD finding kernel: the same lockstep/merge bookkeeping as
-/// find_chunk, but each symbol advances ALL active runs through one vector
-/// gather over the packed column (util/simd_gather.hpp) into a buffer the
-/// scalar bookkeeping then consumes. Hit recording is branch-light: a
-/// per-state flag byte (final | initial) is extracted from the gathered
-/// next state, the separator update is a conditional move, and the only
-/// branch left on the common path is the rare hit push. Emits node fields,
-/// accounting and merge forests bit-identical to the scalar kernels.
-template <bool kConvergent, typename Hits, typename T, typename Reader>
-FindChunk<Hits> find_chunk_simd(const Dfa& dfa, const Reader& in,
-                                std::span<const State> starts,
-                                const QueryGovernor* gov) {
-  constexpr std::int32_t kDeadWide = PackedWideDead<T>;
-  const simd::GatherFn gather = simd::gather_fn<T>(simd::gather_ops());
-  const auto n = static_cast<std::size_t>(dfa.num_states());
-  const State initial = dfa.initial();
-
-  // flag[s]: bit 0 = final (record a hit), bit 1 = initial (new separator).
-  std::vector<std::uint8_t> flags(n, 0);
-  for (State s = 0; s < dfa.num_states(); ++s)
-    flags[static_cast<std::size_t>(s)] = static_cast<std::uint8_t>(
-        (dfa.is_final(s) ? 1u : 0u) | (s == initial ? 2u : 0u));
-
-  FindChunk<Hits> chunk;
-  chunk.nodes.resize(starts.size());
-  std::vector<std::int32_t> active;  // node indices, in `starts` order
-  std::vector<std::int32_t> astate;  // i32 gather indices, parallel to active
-  active.reserve(starts.size());
-  astate.reserve(starts.size());
-  for (std::size_t s = 0; s < starts.size(); ++s) {
-    FindNode<Hits>& node = chunk.nodes[s];
-    node.state = starts[s];  // starts are distinct states — no merges yet
-    if (starts[s] == initial) node.last_sep = 0;
-    active.push_back(static_cast<std::int32_t>(s));
-    astate.push_back(starts[s]);
-  }
-
-  std::vector<std::int32_t> owner;
-  std::vector<State> touched;
-  if constexpr (kConvergent) owner.assign(n, -1);
-
-  std::int64_t pos = 0;
-  GovPoll poll(gov);
-  for (std::size_t unit = 0; unit < in.size(); ++unit) {
-    poll.step();
-    if (active.empty()) break;
-    // In-place gather (the contract allows out == idx): astate[a] becomes
-    // the advanced state; the bookkeeping below reads slot a before the
-    // compaction writes slot `write` <= a. An alien unit gathers from the
-    // dead column, so every run dies uncounted.
-    gather(in.column(unit), astate.data(), active.size(), astate.data());
-    ++pos;
-    if constexpr (kConvergent) touched.clear();
-    std::size_t write = 0;
-    for (std::size_t a = 0; a < active.size(); ++a) {
-      const std::int32_t idx = active[a];
-      FindNode<Hits>& node = chunk.nodes[static_cast<std::size_t>(idx)];
-      const std::int32_t value = astate[a];
-      if (value == kDeadWide) {
-        node.dead = true;  // the dying symbol is not counted
-        continue;
-      }
-      ++chunk.transitions;
-      node.state = static_cast<State>(value);
-      const std::uint8_t flag = flags[static_cast<std::size_t>(value)];
-      node.last_sep = (flag & 2) != 0 ? pos : node.last_sep;
-      if ((flag & 1) != 0)
-        node.hits.push_back({static_cast<std::uint64_t>(pos), node.last_sep});
-      if constexpr (kConvergent) {
-        std::int32_t& claim = owner[static_cast<std::size_t>(value)];
-        if (claim == -1) {
-          claim = idx;
-          touched.push_back(static_cast<State>(value));
-          active[write] = idx;
-          astate[write] = value;
-          ++write;
-        } else {
-          // Merge: idx's run is identical to claim's from here on (see
-          // find_chunk — the claiming run already holds this position's
-          // hit, so sharing starts after it).
-          node.parent = claim;
-          node.parent_base = chunk.nodes[static_cast<std::size_t>(claim)].hits.size();
-          node.merge_pos = pos;
-        }
-      } else {
-        active[write] = idx;
-        astate[write] = value;
-        ++write;
-      }
-    }
-    active.resize(write);
-    astate.resize(write);
-    if constexpr (kConvergent)
-      for (const State s : touched) owner[static_cast<std::size_t>(s)] = -1;
-  }
-  return chunk;
-}
-
-/// The kernel `kernel` names for one chunk, instantiated for the hit store
-/// and the convergence flag: kReference steps the row table for any number
-/// of starts; on the packed table a single start takes scan_chunk, several
-/// take the SIMD gather (kSimd, from 8 starts — below one gather block it
-/// would pay a dispatch per symbol for a scalar tail) or the fused step
-/// policy. Results are bit-identical whichever kernel runs. The packed
-/// kernels read `span` through its reader (symbols or bytes); kReference
-/// steps symbols, translating a byte chunk here, in the chunk's task.
-template <typename Hits, bool kConvergent, typename Input>
-FindChunk<Hits> dispatch_chunk(const Dfa& dfa, const Input& span,
-                               std::span<const State> starts, DetKernel kernel,
-                               const QueryGovernor* gov) {
-  if (kernel == DetKernel::kReference) {
-    std::vector<Symbol> buffer;
-    const RowStep step{dfa, detail::chunk_symbols(span, buffer)};
-    return find_chunk<kConvergent, Hits>(dfa, starts, step, gov);
-  }
-  const PackedTable& table = dfa.packed();
-  return detail::with_width(table, [&](auto width) {
-    using T = decltype(width);
-    const auto in = detail::reader<T>(table, span);
-    if (starts.size() == 1) return scan_chunk<Hits, T>(dfa, in, starts[0], gov);
-    if (kernel == DetKernel::kSimd && starts.size() >= 8)
-      return find_chunk_simd<kConvergent, Hits, T>(dfa, in, starts, gov);
-    const PackedStep<T, decltype(in)> step{in};
-    return find_chunk<kConvergent, Hits>(dfa, starts, step, gov);
-  });
-}
-
-/// The sorted distinct states `starts` reach over `window`, adding the
-/// steps taken to `transitions`: the lockstep kernel over a HitCount store,
-/// so runs die, merge (with `convergence`) and count exactly as in a chunk
-/// run. A merged run follows its parent, so only unmerged live runs count.
-template <typename Input>
-std::vector<State> reached_states(const Dfa& dfa, const Input& window,
-                                  std::span<const State> starts, bool convergence,
-                                  std::uint64_t& transitions, const QueryGovernor* gov) {
-  const PackedTable& table = dfa.packed();
-  const FindChunk<HitCount> run = detail::with_width(table, [&](auto width) {
-    using T = decltype(width);
-    const auto in = detail::reader<T>(table, window);
-    const PackedStep<T, decltype(in)> step{in};
-    return convergence ? find_chunk<true, HitCount>(dfa, starts, step, gov)
-                       : find_chunk<false, HitCount>(dfa, starts, step, gov);
-  });
-  transitions += run.transitions;
-  std::vector<State> states;
-  for (const FindNode<HitCount>& node : run.nodes)
-    if (!node.dead && node.parent == -1) states.push_back(node.state);
-  std::sort(states.begin(), states.end());
-  states.erase(std::unique(states.begin(), states.end()), states.end());
-  return states;
-}
-
 /// chunk_starts (match_count.hpp) for either input.
 template <typename Input>
 std::vector<State> lookback_starts(const Dfa& dfa, const Input& input,
@@ -522,8 +179,8 @@ std::vector<State> lookback_starts(const Dfa& dfa, const Input& input,
   for (std::size_t window = kFirstLookback;; window *= 4) {
     if (window >= boundary) {  // reaches the input start: exact
       const State first[] = {first_state};
-      return reached_states(dfa, input.first(boundary), first, convergence, transitions,
-                            gov);
+      return detail::reached_states(dfa, input.first(boundary), first, convergence,
+                                    transitions, gov);
     }
     if (window > chunk_length / 4) break;
     // A longer window pays only if its probe, on top of those already run,
@@ -533,8 +190,8 @@ std::vector<State> lookback_starts(const Dfa& dfa, const Input& input,
       const std::uint64_t probe_cost = transitions - before + window * num_states;
       if (probe_cost > chunk_length * (num_states - starts.size())) break;
     }
-    starts = reached_states(dfa, input.subspan(boundary - window, window), all_states(),
-                            convergence, transitions, gov);
+    starts = detail::reached_states(dfa, input.subspan(boundary - window, window),
+                                    all_states(), convergence, transitions, gov);
     if (starts.size() <= 1) return starts;
   }
   return starts.empty() ? all_states() : starts;
@@ -551,20 +208,19 @@ std::vector<FindChunk<Hits>> reach_chunks(const Dfa& dfa, const Input& input,
                                           const QueryOptions& options,
                                           const QueryGovernor* gov) {
   std::vector<FindChunk<Hits>> runs(chunks.size());
-  const auto run_chunk = [&](std::size_t i) {
+  const auto reach_one = [&](std::size_t i) {
     if (gov != nullptr) gov->poll();  // chunk boundary: the universal checkpoint
     std::uint64_t probed = 0;
     std::vector<State> starts =
         lookback_starts(dfa, input, chunks[i].begin, chunks[i].length, first_state,
                         options.convergence, probed, gov);
     const auto span = input.subspan(chunks[i].begin, chunks[i].length);
-    runs[i] = options.convergence
-                  ? dispatch_chunk<Hits, true>(dfa, span, starts, options.kernel, gov)
-                  : dispatch_chunk<Hits, false>(dfa, span, starts, options.kernel, gov);
+    runs[i] = detail::run_chunk<HitStore<Hits>>(dfa, span, starts, options.kernel,
+                                                options.convergence, gov);
     runs[i].transitions += probed;
     runs[i].starts = std::move(starts);
   };
-  pool.run(chunks.size(), run_chunk, gov);
+  pool.run(chunks.size(), reach_one, gov);
   return runs;
 }
 
@@ -625,8 +281,8 @@ QueryResult count_input(const Dfa& dfa, const Input& input, ThreadPool& pool,
   const auto chunks = split_chunks(input.size(), options.chunks);
   result.chunks = chunks.size();
 
-  // Reach: the finding kernels over a HitCount store, so counting shares
-  // find's kernels and merge bookkeeping but keeps no positions.
+  // Reach: the chunk core over a HitCount store, so counting shares find's
+  // kernels and merge bookkeeping but keeps no positions.
   Stopwatch reach_clock;
   const auto runs =
       reach_chunks<HitCount>(dfa, input, chunks, dfa.initial(), pool, options, gov);

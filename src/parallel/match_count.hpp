@@ -16,11 +16,13 @@
 // point are returned and `died` is set. Transition accounting (probe steps
 // included) follows the convention of parallel/ca_run.hpp.
 //
-// One reach and one set of chunk kernels serve every query shape — one-shot
-// find, streaming find, and counting. Each chunk run records, per hit, the
-// chunk-local end position and the run's *last separator* (the last
-// position at which its state was the searcher's initial state again, i.e.
-// no partial occurrence pending).
+// One reach serves every query shape — one-shot find, streaming find, and
+// counting — and its chunk runs are the hit stores of the one chunk core
+// that also runs recognition (parallel/chunk_core.hpp: one start → a serial
+// scan; several → a lockstep that hands its last live run to that scan).
+// Each chunk run records, per hit, the chunk-local end position and the
+// run's *last separator* (the last position at which its state was the
+// searcher's initial state again, i.e. no partial occurrence pending).
 //
 // ## The join: one walk, then the emit
 //
@@ -51,13 +53,13 @@
 // kernel vocabulary: `convergence` shares hits through the merge tree —
 // runs that land in the same state at the same position execute as one
 // from the merge point on, with the consistent start's hits reconstructed
-// lazily at join time — and `kernel` selects between the fused lockstep
-// loop on the width-packed table (kFused, the default serving path), the
-// vector-gather lockstep with branch-light flag-extract hit recording
-// (kSimd — AVX2 or the portable unrolled fallback, runtime-picked; see
-// util/simd_gather.hpp), and a plain row-table stepping loop (kReference)
-// — with find_matches_serial as the one-scan oracle above all three
-// (property-tested equal across every combination).
+// lazily at join time — and `kernel` selects the core's lockstep step:
+// the packed column (kFused, the default serving path), the vector gather
+// from 8 starts (kSimd — AVX2 or the portable unrolled fallback,
+// runtime-picked; see util/simd_gather.hpp), or a plain row-table stepping
+// loop with no one-start scan (kReference) — with find_matches_serial as
+// the one-scan oracle above all three (property-tested equal across every
+// combination).
 //
 // ## Two input sources
 //
@@ -65,11 +67,12 @@
 // symbols already translated with the searcher's map (std::span<const
 // Symbol>: tests, benches, callers that translate once) or as raw bytes
 // with that map (ByteSpan: Engine::count/find/find_all and the one-shot
-// PatternSet find). The byte input never builds a symbol vector: the packed
-// kernels — scan_chunk, the fused and SIMD lockstep loops, and the lookback
-// probe of chunk_starts — step `state = column[byte][state]` through a
-// per-call 256-entry byte → column table (parallel/kernel_input.hpp), so
-// translation runs inside the chunk's pool task. kReference translates its
+// PatternSet find). The byte input never builds a symbol vector: the chunk
+// core's packed steps — the one-start scan, the fused and SIMD lockstep,
+// and so the lookback probe of chunk_starts — step `state =
+// column[byte][state]` through a per-call 256-entry byte → column table
+// (parallel/kernel_input.hpp), so translation runs inside the chunk's pool
+// task. kReference translates its
 // own chunk there and steps the symbols; exact begins map each byte
 // through the same map (the reverse DFA consumes searcher symbols). An
 // alien byte reads the packed table's dead column: every run dies at it

@@ -1,6 +1,6 @@
 // Runtime CPU feature detection for the SIMD kernel dispatch.
 //
-// The kSimd chunk kernels (parallel/ca_run.cpp, parallel/match_count.cpp)
+// The kSimd steps of the chunk core (parallel/chunk_core.hpp)
 // want AVX2 gathers but must run everywhere: the dispatch asks this module
 // once per process and falls back to the portable unrolled loops when the
 // hardware (or the build — see RISPAR_DISABLE_AVX2 in CMakeLists.txt) does

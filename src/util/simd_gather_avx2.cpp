@@ -73,7 +73,7 @@ void gather_i32_avx2(const void* col_v, const std::int32_t* idx, std::size_t n,
 // all-survive block — the common case while many runs are live — one
 // gather plus one store with no per-lane work; blocks with deaths fall
 // back to the branchless scalar compaction over the already-gathered
-// lanes. Living here (not in ca_run.cpp) keeps the per-symbol work free
+// lanes. Living here (not in the chunk core) keeps the per-symbol work free
 // of cross-TU calls: the dispatch boundary is crossed once per validated
 // span, not once per symbol.
 template <typename T, int kScale>

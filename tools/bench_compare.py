@@ -8,7 +8,9 @@ The guarded series are the production kernels (benchmark labels containing
 "fused" or "simd" by default); the reference/oracle series are informational
 only, so a slow oracle never blocks a PR. Benchmarks are matched by
 name+label; entries present on only one side are reported and skipped (new
-benchmarks have no baseline yet, retired ones no longer matter). The metric
+benchmarks have no baseline yet, retired ones no longer matter) — but when
+the baseline holds guarded series and not one of them matches, the gate
+compared nothing and exits 1 instead of passing vacuously. The metric
 is bytes_per_second when both sides report it, else 1/real_time. Entries
 that carry one of the LOWER_IS_BETTER side metrics — "p99_ms" tail latency
 (the rispard serving sweep) or the "load_ms"/"reload_ms" bundle timings (the
@@ -129,6 +131,15 @@ def main():
     for key in sorted(set(old) - set(new)):
         if guarded(old[key], tags):
             print(f"  retired (in baseline only): {key[0]} [{key[1]}]")
+
+    # A gate that compared nothing passes vacuously: a change that renames
+    # or relabels every guarded row would otherwise skip them all as
+    # "new"/"retired" and pass.
+    if compared == 0 and any(guarded(entry, tags) for entry in old.values()):
+        print("bench_compare: the baseline holds guarded series but none "
+              "matched a current series by name+label — nothing was "
+              "compared.", file=sys.stderr)
+        return 1
 
     if regressions:
         print(f"bench_compare: {len(regressions)} guarded series regressed "

@@ -73,12 +73,14 @@ const char* const kUsage =
     "moves, the reported total does not. A patterns file holds one regex\n"
     "per line.\n"
     "\n"
-    "--kernel picks the deterministic chunk-kernel implementation: 'fused'\n"
-    "(default) is the scalar lockstep loop on the width-packed tables,\n"
-    "'simd' advances all live runs per symbol through vector gathers (AVX2\n"
-    "when the CPU has it, a portable unrolled loop otherwise — detected at\n"
-    "runtime, so 'simd' works on any machine), and 'reference' is the seed\n"
-    "oracle implementation. All three return identical results; variants\n"
+    "--kernel picks the step of the one deterministic chunk core: every\n"
+    "chunk with one start runs a serial scan, and a lockstep over several\n"
+    "starts hands its last live run to that scan. 'fused' (default) steps\n"
+    "the lockstep through the width-packed tables, 'simd' advances all live\n"
+    "runs per symbol through vector gathers from 8 starts on (AVX2 when the\n"
+    "CPU has it, a portable unrolled loop otherwise — detected at runtime,\n"
+    "so 'simd' works on any machine), and 'reference' runs the seed oracle\n"
+    "implementation. All three return identical results; variants\n"
     "that run no deterministic kernel (nfa, sfa) reject a non-default\n"
     "choice. count runs the default (fused) finding kernel and takes no\n"
     "--kernel.\n"
