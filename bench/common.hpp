@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -17,11 +18,14 @@
 namespace rispar::bench {
 
 /// The one benchmark-arg encoding of the kernel knob, shared by every
-/// micro driver (and mirrored in the `*/reference`, `*/fused`, `*/simd`
-/// series labels): 0 = reference, 1 = fused, 2 = simd.
+/// micro driver (and mirrored in the `*/reference`, `*/fused` series
+/// labels): 0 = reference, 1 = fused. Any other value throws: mapped to a
+/// kernel, it would repeat that kernel's label.
 inline DetKernel kernel_from_range(std::int64_t value) {
   if (value == 0) return DetKernel::kReference;
-  return value == 2 ? DetKernel::kSimd : DetKernel::kFused;
+  if (value == 1) return DetKernel::kFused;
+  throw std::invalid_argument("kernel arg " + std::to_string(value) +
+                              " (0 = reference, 1 = fused)");
 }
 
 /// A workload compiled to its chunk automata plus a symbol text, behind a

@@ -76,12 +76,9 @@ BENCHMARK(BM_FindMatches)
     ->Args({1, 0, 1})
     ->Args({8, 0, 0})
     ->Args({8, 0, 1})
-    ->Args({8, 0, 2})
     ->Args({8, 1, 0})
     ->Args({8, 1, 1})
-    ->Args({8, 1, 2})
     ->Args({32, 1, 1})
-    ->Args({32, 1, 2})
     ->Unit(benchmark::kMillisecond);
 
 // The multi-start find path: BM_FindMatches' searcher forgets its past
@@ -121,9 +118,7 @@ void BM_FindMatchesMultiStart(benchmark::State& state) {
 }
 BENCHMARK(BM_FindMatchesMultiStart)
     ->Args({8, 0, 1})
-    ->Args({8, 0, 2})
     ->Args({8, 1, 1})
-    ->Args({8, 1, 2})
     ->Unit(benchmark::kMillisecond);
 
 // Exact-begin resolution layered on the same scan (ISSUE 9): every joined

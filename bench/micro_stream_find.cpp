@@ -80,9 +80,7 @@ BENCHMARK(BM_StreamFind)
     ->Args({64, 1, 0, 1})
     ->Args({64, 8, 0, 1})
     ->Args({64, 8, 0, 0})
-    ->Args({64, 8, 0, 2})
     ->Args({64, 8, 1, 1})
-    ->Args({64, 8, 1, 2})
     ->Args({256, 8, 0, 1})
     ->Args({256, 8, 1, 1})
     ->Unit(benchmark::kMillisecond);

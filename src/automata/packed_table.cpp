@@ -20,9 +20,8 @@ std::vector<T> pack_transposed(const std::vector<State>& table, std::int32_t num
                                std::int32_t num_symbols) {
   const auto n = static_cast<std::size_t>(num_states);
   const auto k = static_cast<std::size_t>(num_symbols);
-  // Tail slack for the dword gathers (kGatherSlackEntries, packed_table.hpp);
-  // sentinel-filled so a stray read can only ever see "dead".
-  std::vector<T> packed(table.size() + kGatherSlackEntries, PackedDead<T>::value);
+  // The format's sentinel tail slack (kPackedSlackEntries, packed_table.hpp).
+  std::vector<T> packed(table.size() + kPackedSlackEntries, PackedDead<T>::value);
   for (std::size_t s = 0; s < n; ++s) {
     for (std::size_t a = 0; a < k; ++a) {
       const State entry = table[s * k + a];
@@ -73,9 +72,8 @@ PackedTable PackedTable::adopt(TableWidth width, std::int32_t num_states,
 void PackedTable::make_dead_column() {
   const auto make = [&](auto sentinel) {
     using T = decltype(sentinel);
-    // The gather slack too: the SIMD kernels gather from this column.
-    auto column = std::make_shared<std::vector<T>>(
-        static_cast<std::size_t>(num_states_) + kGatherSlackEntries, sentinel);
+    auto column =
+        std::make_shared<std::vector<T>>(static_cast<std::size_t>(num_states_), sentinel);
     dead_column_ = std::shared_ptr<const void>(column, column->data());
   };
   switch (width_) {

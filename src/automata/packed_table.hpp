@@ -19,8 +19,8 @@
 // sentinel of entry type T. Kernels are templated over T and dispatch on
 // `width()`.
 //
-// Next to its entries every table owns one all-dead column: num_states
-// sentinels plus the gather slack. It is the column the byte-input kernels
+// Next to its entries every table owns one all-dead column of num_states
+// sentinels. It is the column the byte-input kernels
 // (parallel/kernel_input.hpp) give a byte that has no symbol, so an alien
 // byte kills every run at its lookup like any dead transition. build() and
 // adopt() allocate it; it is never serialized, so the bundle sections hold
@@ -53,19 +53,12 @@ struct PackedDead<std::int32_t> {
   static constexpr std::int32_t value = kDeadState;
 };
 
-/// The dead sentinel as it arrives from a zero-extending column gather
-/// (util/simd_gather.hpp): 0xFF / 0xFFFF for the narrow widths, kDeadState
-/// for i32. The kSimd kernels compare gathered i32 lanes against this.
-template <typename T>
-inline constexpr std::int32_t PackedWideDead =
-    static_cast<std::int32_t>(PackedDead<T>::value);
-
-/// Entries of tail slack appended after the num_states × num_symbols table
-/// body. The AVX2 gathers load a full dword at each entry's byte offset, so
-/// the last u8/u16 entries over-read up to 3 bytes; four sentinel-filled
-/// slack entries (>= 4 bytes at every width) keep those loads inside the
-/// allocation. The slack is not part of any column and never holds a state.
-inline constexpr std::size_t kGatherSlackEntries = 4;
+/// Entries of sentinel-filled tail slack after the num_states × num_symbols
+/// table body. The slack is part of the format layout: the .rpb packed
+/// sections store it (bundle/format.hpp), and adopt() maps those bytes in
+/// place, so build() lays it out too. It is not part of any column and
+/// never holds a state.
+inline constexpr std::size_t kPackedSlackEntries = 4;
 
 class PackedTable {
  public:
@@ -80,7 +73,7 @@ class PackedTable {
 
   /// Adopts an already-packed entry array IN PLACE — the zero-copy path of
   /// the mmap'd bundle loader (src/bundle/). `entries` must point at
-  /// `num_states × num_symbols + kGatherSlackEntries` entries of the given
+  /// `num_states × num_symbols + kPackedSlackEntries` entries of the given
   /// width, laid out exactly as build() produces them (symbol-major,
   /// sentinel-filled slack tail), aligned to the entry size; `owner` keeps
   /// the backing storage (the file mapping) alive for as long as this table
@@ -103,11 +96,11 @@ class PackedTable {
   std::int32_t num_states() const { return num_states_; }
   std::int32_t num_symbols() const { return num_symbols_; }
 
-  /// Total entries including the gather slack tail — the byte size of the
+  /// Total entries including the slack tail — the byte size of the
   /// entry array is total_entries() × entry size (bundle section writer).
   std::size_t total_entries() const {
     return static_cast<std::size_t>(num_states_) * static_cast<std::size_t>(num_symbols_) +
-           kGatherSlackEntries;
+           kPackedSlackEntries;
   }
 
   /// Symbol-major entry array; T must match width(). Column `a` starts at
@@ -120,8 +113,8 @@ class PackedTable {
     return data<T>() + static_cast<std::size_t>(symbol) * num_states_;
   }
 
-  /// The all-dead column: num_states() sentinels (and the gather slack), so
-  /// it can stand in for column(symbol) wherever a symbol has no column.
+  /// The all-dead column: num_states() sentinels, so it can stand in for
+  /// column(symbol) wherever a symbol has no column.
   template <typename T>
   const T* dead_column() const {
     return static_cast<const T*>(dead_column_.get());

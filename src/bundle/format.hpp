@@ -8,9 +8,9 @@
 // ADOPTS the pages in place instead of parsing anything. In particular the
 // width-packed symbol-major tables (automata/packed_table.hpp) are stored
 // verbatim — symbol-major entry order, narrowest-width encoding, the
-// kGatherSlackEntries sentinel tail for the AVX2 dword over-reads, 64-byte
-// (cache-line) alignment — so the SIMD kernels gather straight out of the
-// file mapping and N fleet processes share one set of page-cache pages.
+// kPackedSlackEntries sentinel tail of the format layout, 64-byte
+// (cache-line) alignment — so the kernels read straight out of the file
+// mapping and N fleet processes share one set of page-cache pages.
 //
 // ## Layout
 //
@@ -24,8 +24,7 @@
 // table. All integers are little-endian and the format is only written or
 // read on little-endian hosts (statically asserted) — the bundle is
 // ISA-independent beyond that: widths, slack entries and alignment do not
-// depend on AVX2, so a bundle built on a native leg loads on the portable
-// one (CI verifies this).
+// depend on the instruction set of the host that built it.
 //
 // ## Integrity
 //
@@ -149,7 +148,7 @@ static_assert(sizeof(NfaSectionHeader) == 32);
 
 /// k*Packed payload: PackedSectionHeader | entries. The header is one full
 /// cache line so the entries land on the section's 64-byte alignment — the
-/// kernels' gather base. `total_entries` INCLUDES the kGatherSlackEntries
+/// kernels' column base. `total_entries` INCLUDES the kPackedSlackEntries
 /// sentinel tail; the stored bytes are bit-identical to what
 /// PackedTable::build produces, which is what makes in-place adoption legal.
 struct PackedSectionHeader {

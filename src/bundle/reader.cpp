@@ -143,7 +143,7 @@ Dfa load_dense_dfa(const MappedBundle& bundle, const SectionEntry& section,
 /// no-bounds-check inner loops they use on tables they built. Pass
 /// `allow_dead = false` for total machines (δ_SFA): their body entries are
 /// used as unchecked indexes downstream, so a sentinel is corruption — the
-/// gather-slack tail may always carry sentinels.
+/// slack tail may always carry sentinels.
 PackedTable adopt_packed(const std::shared_ptr<const MappedBundle>& bundle,
                          const SectionEntry& section, std::int32_t num_states,
                          std::int32_t num_symbols, bool allow_dead = true) {
@@ -162,9 +162,9 @@ PackedTable adopt_packed(const std::shared_ptr<const MappedBundle>& bundle,
     fail(cursor.name + ": dimensions disagree with the dense table");
   const std::uint64_t total =
       static_cast<std::uint64_t>(num_states) * static_cast<std::uint64_t>(num_symbols) +
-      kGatherSlackEntries;
+      kPackedSlackEntries;
   if (header.total_entries != total)
-    fail(cursor.name + ": entry count does not match dimensions + gather slack");
+    fail(cursor.name + ": entry count does not match dimensions + slack");
   const unsigned char* entries = cursor.raw(static_cast<std::size_t>(total) * entry_bytes);
   cursor.done();
 
@@ -175,7 +175,7 @@ PackedTable adopt_packed(const std::shared_ptr<const MappedBundle>& bundle,
   const auto scan = [&]<typename T>(std::type_identity<T>) {
     constexpr T kDead = PackedDead<T>::value;
     const auto bound = static_cast<std::uint32_t>(num_states);
-    const std::uint64_t body = total - kGatherSlackEntries;
+    const std::uint64_t body = total - kPackedSlackEntries;
     std::uint32_t bad = 0;
     T block[256];
     std::uint64_t i = 0;

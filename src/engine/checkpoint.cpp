@@ -1,11 +1,13 @@
 #include "engine/checkpoint.hpp"
 
 #include <cstddef>
+#include <optional>
 #include <string>
 
 #include "bundle/format.hpp"
 #include "util/fault_inject.hpp"
 #include "util/governance.hpp"
+#include "util/little_endian.hpp"
 
 namespace rispar::checkpoint {
 namespace {
@@ -17,35 +19,25 @@ constexpr std::size_t kTrailerBytes = 8;  // checksum64
   throw ValidationError("checkpoint: " + what);
 }
 
-void put_u32(std::string& out, std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8)
-    out.push_back(static_cast<char>((value >> shift) & 0xffu));
-}
+using le::put_u32;
+using le::put_u64;
+using le::put_u8;
 
-void put_u64(std::string& out, std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8)
-    out.push_back(static_cast<char>((value >> shift) & 0xffu));
+template <typename U>
+U get(std::string_view image, std::size_t& pos) {
+  const std::optional<U> value = le::load<U>(image, pos);
+  if (!value) reject("truncated blob");
+  return *value;
 }
 
 std::uint8_t get_u8(std::string_view image, std::size_t& pos) {
-  if (pos >= image.size()) reject("truncated blob");
-  return static_cast<std::uint8_t>(image[pos++]);
+  return get<std::uint8_t>(image, pos);
 }
-
 std::uint32_t get_u32(std::string_view image, std::size_t& pos) {
-  if (image.size() - pos < 4) reject("truncated blob");
-  std::uint32_t value = 0;
-  for (int shift = 0; shift < 32; shift += 8)
-    value |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(image[pos++])) << shift;
-  return value;
+  return get<std::uint32_t>(image, pos);
 }
-
 std::uint64_t get_u64(std::string_view image, std::size_t& pos) {
-  if (image.size() - pos < 8) reject("truncated blob");
-  std::uint64_t value = 0;
-  for (int shift = 0; shift < 64; shift += 8)
-    value |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(image[pos++])) << shift;
-  return value;
+  return get<std::uint64_t>(image, pos);
 }
 
 bool get_flag(std::string_view image, std::size_t& pos, const char* name) {
@@ -63,8 +55,8 @@ bool get_flag(std::string_view image, std::size_t& pos, const char* name) {
 /// the kExact history tail.
 void encode_find_carry(const FindCarry& carry, std::string& out) {
   put_u32(out, static_cast<std::uint32_t>(carry.state));
-  out.push_back(static_cast<char>(carry.at_start ? 1 : 0));
-  out.push_back(static_cast<char>(carry.died ? 1 : 0));
+  put_u8(out, carry.at_start ? 1 : 0);
+  put_u8(out, carry.died ? 1 : 0);
   put_u64(out, carry.consumed);
   put_u64(out, carry.last_sep);
   put_u64(out, carry.matches);
@@ -128,11 +120,11 @@ void append_dfa_content(std::string& buf, const Dfa& dfa) {
   for (State state = 0; state < dfa.num_states(); ++state) {
     if (dfa.is_final(state)) bits |= static_cast<std::uint8_t>(1u << (state & 7));
     if ((state & 7) == 7) {
-      buf.push_back(static_cast<char>(bits));
+      put_u8(buf, bits);
       bits = 0;
     }
   }
-  if (dfa.num_states() & 7) buf.push_back(static_cast<char>(bits));
+  if (dfa.num_states() & 7) put_u8(buf, bits);
   for (const State target : dfa.table()) put_u32(buf, static_cast<std::uint32_t>(target));
   for (const std::int32_t symbol : dfa.symbols().raw_table())
     put_u32(buf, static_cast<std::uint32_t>(symbol));
@@ -142,10 +134,10 @@ void append_header(std::string& out, Kind kind, std::uint8_t variant,
                    const QueryOptions& options, std::uint64_t fingerprint) {
   put_u32(out, kMagic);
   put_u32(out, kVersion);
-  out.push_back(static_cast<char>(kind));
-  out.push_back(static_cast<char>(variant));
-  out.push_back(static_cast<char>(options.positions ? 1 : 0));
-  out.push_back(static_cast<char>(options.begin_mode));
+  put_u8(out, static_cast<std::uint8_t>(kind));
+  put_u8(out, variant);
+  put_u8(out, options.positions ? 1 : 0);
+  put_u8(out, static_cast<std::uint8_t>(options.begin_mode));
   put_u64(out, fingerprint);
 }
 
@@ -235,7 +227,7 @@ std::string encode_stream(const StreamCarry& carry, Variant variant,
   std::string out;
   append_header(out, Kind::kSingleStream, static_cast<std::uint8_t>(variant), options,
                 fingerprint);
-  out.push_back(static_cast<char>(carry.at_start ? 1 : 0));
+  put_u8(out, carry.at_start ? 1 : 0);
   put_u64(out, carry.transitions);
   put_u64(out, carry.windows);
   put_u32(out, static_cast<std::uint32_t>(carry.states.size()));

@@ -117,7 +117,6 @@ const char* kernel_name(DetKernel kernel) {
   switch (kernel) {
     case DetKernel::kFused: return "fused";
     case DetKernel::kReference: return "reference";
-    case DetKernel::kSimd: return "simd";
   }
   return "?";
 }

@@ -45,10 +45,10 @@
 // run_chunk_det is the λ store of the one chunk core
 // (parallel/chunk_core.hpp), which also runs the lookback probe and the
 // finding kernels of parallel/match_count. One dispatch rule picks the
-// step; DetChunkOptions::kernel selects among three, proven equivalent by
+// step; DetChunkOptions::kernel selects between two, proven equivalent by
 // property tests:
 //
-//  * one start (any packed kernel) — the one-start scan: one run over the
+//  * one start (kFused) — the one-start scan: one run over the
 //    chunk on the width-specialized packed table (automata/
 //    packed_table.hpp), no SoA bookkeeping. A lockstep left with one live
 //    run hands it to the same scan.
@@ -60,15 +60,6 @@
 //    and λ and distinct_ends are read off that forest, so merging never
 //    allocates. An alien unit reads the table's dead column, so the inner
 //    loops carry no validity check.
-//  * kSimd — from 8 starts, the same lockstep with each symbol advancing
-//    the whole live block through ONE vector gather over the packed column
-//    (util/simd_gather.hpp: AVX2 vpgatherdd with i32-widened indices for
-//    the u8/u16 widths, or the portable unrolled fallback — picked once at
-//    runtime by util/cpuid.hpp, so kSimd runs everywhere and never
-//    rejects); below 8 starts the scalar lockstep. The independent mode
-//    runs whole validated blocks through the AdvanceSpanFn backend, byte
-//    input translated one ≤512-byte block at a time into a stack buffer.
-//    Results are bit-identical to kFused/kReference.
 //  * kReference — the seed implementations (start-at-a-time independent
 //    runs; unordered_map convergence), kept verbatim in ca_run.cpp as the
 //    oracle for the property tests and for A/B benchmarks.
@@ -105,10 +96,9 @@ struct DetChunkResult {
 enum class DetKernel : std::uint8_t {
   kFused,      ///< lockstep SoA / epoch-stamped convergence on packed tables
   kReference,  ///< seed implementations (test oracle, A/B baseline)
-  kSimd,       ///< vector-gather lockstep (AVX2 or portable, runtime-picked)
 };
 
-/// "fused" / "reference" / "simd" — CLI values and bench labels.
+/// "fused" / "reference" — CLI values and bench labels.
 const char* kernel_name(DetKernel kernel);
 
 struct DetChunkOptions {

@@ -11,8 +11,8 @@
 //    for count (O(states) memory per chunk).
 //
 // Live runs sit in a SoA lane vector of the step's lane type (the packed
-// table's width T for the scalar column step) with an origin tag (index
-// into `starts`); dead runs are compacted out after every unit, so a unit
+// table's width T for the column step) with an origin tag (index into
+// `starts`); dead runs are compacted out after every unit, so a unit
 // costs O(live). The per-start record (FindNode) is written only on a hit,
 // a merge or a death, and when the chunk ends. Under convergence, runs that
 // land in one state at one position merge: the later-created run records
@@ -26,16 +26,13 @@
 //  * kReference — recognize's verbatim oracle kernels (ca_run.cpp) for the
 //    λ store; the RowStep lockstep (row-table lookups, per-symbol range
 //    check) for the hit stores;
-//  * kSimd from kGatherFloor starts — the per-unit gather step, or for the
-//    independent λ store the AdvanceSpanFn block step (util/simd_gather.hpp);
-//  * otherwise the scalar lockstep over the packed column (kFused);
-//  * and a packed-table lockstep with one live run — one start from the
-//    outset, or a lone survivor — hands it to the one-start scan (`scan`):
-//    the run_packed_* loop for the λ store, the register-resident hit loop
-//    for the hit stores.
+//  * otherwise (kFused) the scalar lockstep over the packed column, which
+//    hands a lockstep with one live run — one start from the outset, or a
+//    lone survivor — to the one-start scan (`scan`): the run_packed_* loop
+//    for the λ store, the register-resident hit loop for the hit stores.
 //
-// Every step policy gives bit-identical λ, distinct_ends, hits and
-// transitions (accounting: parallel/ca_run.hpp).
+// Both kernels give bit-identical λ, distinct_ends, hits and transitions
+// (accounting: parallel/ca_run.hpp).
 // Governance is one scheme (StridePoll): a poll at most every
 // kGovernorStride units, between lockstep blocks or scan slices, never in
 // an inner loop. Internal to the parallel/ kernels.
@@ -52,18 +49,11 @@
 #include "parallel/ca_run.hpp"
 #include "parallel/kernel_input.hpp"
 #include "util/governance.hpp"
-#include "util/simd_gather.hpp"
 
 namespace rispar::detail {
 
-/// The lockstep loops run in blocks of at most this many units; the λ
-/// block step translates and validates one block at a time into a stack
-/// buffer.
+/// The lockstep loops run in blocks of at most this many units.
 inline constexpr std::size_t kBlock = 512;
-
-/// Below this many starts kSimd runs the scalar lockstep: a gather block
-/// would pay a dispatch per unit for a scalar tail.
-inline constexpr std::size_t kGatherFloor = 8;
 
 /// The core's one governance scheme: `at(pos, size)` polls when a
 /// checkpoint is due and returns where the next one falls (capped at
@@ -235,36 +225,15 @@ class HitStore {
 /// input reader (symbols or bytes); an alien unit reads the dead column.
 template <typename T, typename Reader>
 struct ColumnStep {
-  using Entry = T;
   using Lane = T;
   static constexpr Lane kDead = PackedDead<T>::value;
-  static constexpr bool kScan = true, kSpan = false;
+  static constexpr bool kScan = true;
   const Reader& in;
   const T* col = nullptr;
 
   std::size_t size() const { return in.size(); }
-  void prepare(std::size_t pos, Lane* /*state*/, std::size_t /*live*/) {
-    col = in.column(pos);
-  }
+  void prepare(std::size_t pos) { col = in.column(pos); }
   Lane next(Lane state) const { return col[state]; }
-};
-
-/// kSimd: one vector gather advances every live lane in place (the gather
-/// contract allows out == idx) before the bookkeeping reads them.
-template <typename T, typename Reader>
-struct GatherStep {
-  using Entry = T;
-  using Lane = std::int32_t;
-  static constexpr Lane kDead = PackedWideDead<T>;
-  static constexpr bool kScan = true, kSpan = false;
-  const Reader& in;
-  simd::GatherFn gather = simd::gather_fn<T>(simd::gather_ops());
-
-  std::size_t size() const { return in.size(); }
-  void prepare(std::size_t pos, Lane* state, std::size_t live) {
-    gather(in.column(pos), state, live, state);
-  }
-  static Lane next(Lane state) { return state; }
 };
 
 /// find's kReference: row-table lookups over the chunk's symbols with the
@@ -272,48 +241,18 @@ struct GatherStep {
 struct RowStep {
   using Lane = State;
   static constexpr Lane kDead = kDeadState;
-  static constexpr bool kScan = false, kSpan = false;
+  static constexpr bool kScan = false;
   const Dfa& dfa;
   std::span<const Symbol> symbols;
   Symbol symbol = 0;
   bool valid = false;
 
   std::size_t size() const { return symbols.size(); }
-  void prepare(std::size_t pos, Lane* /*state*/, std::size_t /*live*/) {
+  void prepare(std::size_t pos) {
     symbol = symbols[pos];
     valid = symbol >= 0 && symbol < dfa.num_symbols();
   }
   Lane next(Lane state) const { return valid ? dfa.row(state)[symbol] : kDeadState; }
-};
-
-/// The independent λ store's kSimd step: one AdvanceSpanFn call runs a
-/// whole validated block — gathers, survivor tests, compaction, accounting
-/// — so per-unit work never crosses the dispatch boundary. Byte input is
-/// translated one block at a time into a stack buffer.
-template <typename T, typename Reader>
-struct SpanStep {
-  using Entry = T;
-  using Lane = std::int32_t;
-  static constexpr bool kScan = true, kSpan = true;
-  const Reader& in;
-  const T* entries;
-  std::size_t num_states;
-  simd::AdvanceSpanFn advance = simd::advance_span_fn<T>(simd::gather_ops());
-
-  std::size_t size() const { return in.size(); }
-  /// Advances the lanes over units [pos, end) and returns the new position.
-  std::size_t advance_block(std::size_t pos, std::size_t end, Lane* state,
-                            std::uint32_t* origin, std::size_t& live,
-                            std::uint64_t& transitions) const {
-    Symbol buffer[kBlock];
-    std::size_t valid = 0;
-    const Symbol* symbols = in.symbols(pos, end - pos, buffer, valid);
-    const std::size_t consumed =
-        advance(entries, num_states, symbols, valid, state, origin, live, transitions);
-    if (live > 1 && consumed == valid && pos + valid < end)
-      live = 0;  // alien unit: every run dies uncounted
-    return pos + consumed;
-  }
 };
 
 // -------------------------------------------------------------------- runs
@@ -369,9 +308,8 @@ bool scan(const Reader& in, std::size_t pos, State& state, Store& store,
 
 /// The lockstep over one lane per start (per distinct start under
 /// convergence), handing a lone lane — one start, or the last survivor —
-/// to the one-start scan. Kept out
-/// of line: inlined into the dispatch, its inner loop spills the lane
-/// pointers to the stack.
+/// to the one-start scan. Kept out of line: inlined into the dispatch, its
+/// inner loop spills the lane pointers to the stack.
 template <bool kConvergent, typename Step, typename Store>
 [[gnu::noinline]] typename Store::Result lockstep(Step step, Store& store,
                                                   std::span<const State> starts,
@@ -410,49 +348,42 @@ template <bool kConvergent, typename Step, typename Store>
   StridePoll poll{gov};
   while (pos < step.size() && live > kFloor) {
     const std::size_t block_end = std::min(pos + kBlock, poll.at(pos, step.size()));
-    if constexpr (Step::kSpan) {
-      static_assert(!kConvergent && !Store::kHits);
-      pos = step.advance_block(pos, block_end, state.data(), origin.data(), live,
-                               transitions);
-    } else {
-      for (; pos < block_end && live > kFloor; ++pos) {
-        step.prepare(pos, state.data(), live);
-        if constexpr (kConvergent) ++epoch;
-        const auto at = static_cast<std::int64_t>(pos) + 1;
-        std::size_t write = 0;
-        for (std::size_t i = 0; i < live; ++i) {
-          const Lane next = step.next(state[i]);
-          if (next == Step::kDead) {  // the dying unit is not counted
-            store.die(i, origin[i]);
+    for (; pos < block_end && live > kFloor; ++pos) {
+      step.prepare(pos);
+      if constexpr (kConvergent) ++epoch;
+      const auto at = static_cast<std::int64_t>(pos) + 1;
+      std::size_t write = 0;
+      for (std::size_t i = 0; i < live; ++i) {
+        const Lane next = step.next(state[i]);
+        if (next == Step::kDead) {  // the dying unit is not counted
+          store.die(i, origin[i]);
+          continue;
+        }
+        store.step(i, origin[i], next, at);
+        if constexpr (kConvergent) {
+          ++transitions;  // one per live group, merged ones included
+          const auto ns = static_cast<std::size_t>(next);
+          if (stamp[ns] == epoch) {
+            store.merge(i, origin[i], origin[lane_at[ns]], at);
             continue;
           }
-          store.step(i, origin[i], next, at);
-          if constexpr (kConvergent) {
-            ++transitions;  // one per live group, merged ones included
-            const auto ns = static_cast<std::size_t>(next);
-            if (stamp[ns] == epoch) {
-              store.merge(i, origin[i], origin[lane_at[ns]], at);
-              continue;
-            }
-            stamp[ns] = epoch;
-            lane_at[ns] = static_cast<std::uint32_t>(write);
-          }
-          state[write] = next;  // write <= i: slot already consumed
-          origin[write] = origin[i];
-          store.keep(write, i);
-          ++write;
+          stamp[ns] = epoch;
+          lane_at[ns] = static_cast<std::uint32_t>(write);
         }
-        if constexpr (!kConvergent) transitions += write;  // one per surviving run
-        live = write;
+        state[write] = next;  // write <= i: slot already consumed
+        origin[write] = origin[i];
+        store.keep(write, i);
+        ++write;
       }
+      if constexpr (!kConvergent) transitions += write;  // one per surviving run
+      live = write;
     }
   }
 
   if constexpr (Step::kScan) {
     if (live == 1 && pos < step.size()) {
       auto current = static_cast<State>(state[0]);
-      if (scan<typename Step::Entry>(step.in, pos, current, store, origin[0], poll,
-                                     transitions)) {
+      if (scan<Lane>(step.in, pos, current, store, origin[0], poll, transitions)) {
         state[0] = static_cast<Lane>(current);
       } else {
         store.die(0, origin[0]);
@@ -495,15 +426,7 @@ typename Store::Result run_chunk(const Dfa& dfa, const Input& input,
   return with_width(table, [&](auto width) -> typename Store::Result {
     using T = decltype(width);
     const auto in = reader<T>(table, input);
-    using Reader = decltype(in);
-    if (kernel != DetKernel::kSimd || starts.size() < kGatherFloor)
-      return run_lockstep(ColumnStep<T, Reader>{in});
-    if constexpr (!Store::kHits) {
-      if (!convergence)
-        return lockstep<false>(SpanStep<T, Reader>{in, table.data<T>(), num_states},
-                               store, starts, num_states, gov);
-    }
-    return run_lockstep(GatherStep<T, Reader>{in});
+    return run_lockstep(ColumnStep<T, decltype(in)>{in});
   });
 }
 

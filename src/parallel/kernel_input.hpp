@@ -1,7 +1,7 @@
 // The two inputs of the packed-table chunk kernels, behind one reader
 // interface, so the one chunk core (parallel/chunk_core.hpp: its one-start
-// scan and its scalar and gather lockstep steps, for recognize, count and
-// find alike) is written once and instantiated for both:
+// scan and its column lockstep step, for recognize, count and find alike)
+// is written once and instantiated for both:
 //
 //  * SymbolReader — a pre-translated symbol span (streaming windows, tests,
 //    callers that translate once). A symbol outside the table's alphabet
@@ -52,16 +52,6 @@ class SymbolReader {
     return run_packed_single<T>(*table_, start, symbols_.data() + pos, length);
   }
 
-  /// Units [pos, pos + length) as symbols for the SIMD span backend, which
-  /// takes symbols in range only: `valid` is the length of the in-range
-  /// prefix. A span is returned as it is; `buffer` is unused.
-  const Symbol* symbols(std::size_t pos, std::size_t length, Symbol* /*buffer*/,
-                        std::size_t& valid) const {
-    valid = first_invalid_symbol(symbols_.subspan(pos, length),
-                                 static_cast<std::int32_t>(limit_));
-    return symbols_.data() + pos;
-  }
-
  private:
   const PackedTable* table_;
   const T* entries_;
@@ -75,9 +65,7 @@ template <typename T>
 class ByteReader {
  public:
   ByteReader(const PackedTable& table, const ByteSpan& bytes)
-      : columns_(byte_columns<T>(table, *bytes.map)),
-        bytes_(bytes),
-        limit_(table.num_symbols()) {}
+      : columns_(byte_columns<T>(table, *bytes.map)), bytes_(bytes) {}
 
   std::size_t size() const { return bytes_.size(); }
 
@@ -89,19 +77,9 @@ class ByteReader {
     return run_packed_bytes<T>(columns_, start, bytes_.bytes.data() + pos, length);
   }
 
-  /// Translates units [pos, pos + length) into `buffer` (at least `length`
-  /// long) for the SIMD span backend; `valid` as in SymbolReader.
-  const Symbol* symbols(std::size_t pos, std::size_t length, Symbol* buffer,
-                        std::size_t& valid) const {
-    for (std::size_t i = 0; i < length; ++i) buffer[i] = bytes_.symbol(pos + i);
-    valid = first_invalid_symbol(std::span<const Symbol>(buffer, length), limit_);
-    return buffer;
-  }
-
  private:
   ByteColumns<T> columns_;
   ByteSpan bytes_;
-  std::int32_t limit_;
 };
 
 /// Calls fn(T{}) with the entry type T the packed table was built at.

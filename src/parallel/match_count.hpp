@@ -54,12 +54,10 @@
 // runs that land in the same state at the same position execute as one
 // from the merge point on, with the consistent start's hits reconstructed
 // lazily at join time — and `kernel` selects the core's lockstep step:
-// the packed column (kFused, the default serving path), the vector gather
-// from 8 starts (kSimd — AVX2 or the portable unrolled fallback,
-// runtime-picked; see util/simd_gather.hpp), or a plain row-table stepping
-// loop with no one-start scan (kReference) — with find_matches_serial as
-// the one-scan oracle above all three (property-tested equal across every
-// combination).
+// the packed column (kFused, the default serving path) or a plain
+// row-table stepping loop with no one-start scan (kReference) — with
+// find_matches_serial as the one-scan oracle above both (property-tested
+// equal across every combination).
 //
 // ## Two input sources
 //
@@ -68,8 +66,8 @@
 // Symbol>: tests, benches, callers that translate once) or as raw bytes
 // with that map (ByteSpan: Engine::count/find/find_all and the one-shot
 // PatternSet find). The byte input never builds a symbol vector: the chunk
-// core's packed steps — the one-start scan, the fused and SIMD lockstep,
-// and so the lookback probe of chunk_starts — step `state =
+// core's packed steps — the one-start scan, the fused lockstep, and so
+// the lookback probe of chunk_starts — step `state =
 // column[byte][state]` through a per-call 256-entry byte → column table
 // (parallel/kernel_input.hpp), so translation runs inside the chunk's pool
 // task. kReference translates its

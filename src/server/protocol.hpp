@@ -65,6 +65,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -74,6 +75,8 @@
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
+
+#include "util/little_endian.hpp"
 
 namespace rispar::rispard {
 
@@ -138,19 +141,9 @@ inline constexpr std::size_t kMaxFramePayload = 1u << 24;  // 16 MiB
 
 // ------------------------------------------------------------- serialization
 
-inline void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-inline void put_u32(std::string& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8)
-    out.push_back(static_cast<char>((v >> shift) & 0xff));
-}
-
-inline void put_u64(std::string& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8)
-    out.push_back(static_cast<char>((v >> shift) & 0xff));
-}
+using le::put_u32;
+using le::put_u64;
+using le::put_u8;
 
 /// Appends one whole frame (header + payload) to `out`.
 inline void put_frame(std::string& out, FrameType type, std::string_view payload) {
@@ -171,35 +164,9 @@ struct PayloadReader {
   explicit PayloadReader(std::string_view payload)
       : data(payload.data()), size(payload.size()) {}
 
-  std::uint8_t get_u8() {
-    if (pos + 1 > size) {
-      ok = false;
-      return 0;
-    }
-    return static_cast<std::uint8_t>(data[pos++]);
-  }
-
-  std::uint32_t get_u32() {
-    if (pos + 4 > size) {
-      ok = false;
-      return 0;
-    }
-    std::uint32_t v = 0;
-    for (int shift = 0; shift < 32; shift += 8)
-      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(data[pos++])) << shift;
-    return v;
-  }
-
-  std::uint64_t get_u64() {
-    if (pos + 8 > size) {
-      ok = false;
-      return 0;
-    }
-    std::uint64_t v = 0;
-    for (int shift = 0; shift < 64; shift += 8)
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(data[pos++])) << shift;
-    return v;
-  }
+  std::uint8_t get_u8() { return get<std::uint8_t>(); }
+  std::uint32_t get_u32() { return get<std::uint32_t>(); }
+  std::uint64_t get_u64() { return get<std::uint64_t>(); }
 
   /// The unread remainder (FEED bytes, ERROR message, manifest text).
   std::string_view rest() {
@@ -211,6 +178,14 @@ struct PayloadReader {
   /// True when every read succeeded AND the payload was fully consumed —
   /// trailing garbage is a protocol error, not padding.
   bool exhausted() const { return ok && pos == size; }
+
+ private:
+  template <typename U>
+  U get() {
+    const std::optional<U> v = le::load<U>({data, size}, pos);
+    if (!v) ok = false;
+    return v.value_or(0);
+  }
 };
 
 /// One parsed frame. `payload` points into the FrameReader's buffer and is
@@ -255,12 +230,10 @@ class FrameReader {
   std::size_t pending() const { return buffer_.size() - pos_; }
 
  private:
+  /// The length prefix at pos_; callers check that its 4 bytes are buffered.
   std::uint32_t peek_len() const {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(buffer_[pos_ + i]))
-           << (8 * i);
-    return v;
+    std::size_t at = pos_;
+    return le::load<std::uint32_t>(buffer_, at).value_or(0);
   }
 
   /// Drops consumed bytes once they dominate the buffer. Safe only when no

@@ -16,7 +16,7 @@
 //    shape honors, including the SFA comparator whose inner run is opaque;
 //  * every kGovernorStride symbols inside the per-symbol loops (reference,
 //    NFA, counting, finding kernels) via GovPoll;
-//  * between the 512-unit blocks of the fused/SIMD lockstep loops, once
+//  * between the 512-unit blocks of the fused lockstep loops, once
 //    the blocks accumulate to the stride, so the amortized cost stays under
 //    the documented <2% budget (docs/perf.md "Checkpoint polling
 //    granularity");
@@ -134,7 +134,7 @@ class CancelSource {
 /// Symbols between cooperative polls inside the per-symbol kernel loops.
 /// Small enough for sub-millisecond trip latency on any kernel, large
 /// enough that the poll (one relaxed steady_clock read + one atomic load)
-/// amortizes to <2% of the fused/SIMD series (measured by the
+/// amortizes to <2% of the fused series (measured by the
 /// deadline_checkpoint bench series in BENCH_chunk_kernels.json).
 inline constexpr std::size_t kGovernorStride = 8192;
 

@@ -97,7 +97,7 @@ void expect_same_answers(const Pattern& reference, const Pattern& candidate,
                                   Variant::kSfa}) {
       if (variant == Variant::kSfa && !both_sfa) continue;
       for (const DetKernel kernel :
-           {DetKernel::kFused, DetKernel::kReference, DetKernel::kSimd}) {
+           {DetKernel::kFused, DetKernel::kReference}) {
         // Kernel choice applies to the deterministic devices only.
         if (variant == Variant::kNfa || variant == Variant::kSfa) continue;
         const QueryOptions options{

@@ -36,8 +36,7 @@
 namespace rispar {
 namespace {
 
-constexpr DetKernel kKernels[] = {DetKernel::kFused, DetKernel::kSimd,
-                                  DetKernel::kReference};
+constexpr DetKernel kKernels[] = {DetKernel::kFused, DetKernel::kReference};
 constexpr Variant kVariants[] = {Variant::kDfa, Variant::kNfa, Variant::kRid,
                                  Variant::kSfa};
 
@@ -194,7 +193,7 @@ void expect_same_find(const Dfa& dfa, const std::string& text, ThreadPool& pool,
 TEST(ByteInput, FindAndCountChunkRunsEqualTranslatedSpans) {
   // Chunks that keep one start (a collapsing searcher: scan_chunk), a few
   // (a 4-state permutation: the lockstep find kernel), or many (40/300
-  // permuting states: the SIMD gather from 8 starts on; a random 70000-
+  // permuting states: the lockstep over many lanes; a random 70000-
   // state machine at i32 width, kept short — its chunks start from
   // thousands of states). Alien bytes on a chunk boundary and inside the
   // lookback window before another one kill the true run mid-text.

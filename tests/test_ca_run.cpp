@@ -115,9 +115,8 @@ TEST(DetChunkRun, DuplicateStartsHandledByConvergence) {
 
 // ---------------------------------------------------------------------------
 // Kernel-equivalence properties: the fused lockstep / epoch-stamped kernels
-// AND the vector-gather kSimd kernels must produce λ maps and transition
-// counts identical to the seed implementations over randomized machines,
-// starts, and chunk boundaries (whatever gather backend this machine runs).
+// must produce λ maps and transition counts identical to the seed
+// implementations over randomized machines, starts, and chunk boundaries.
 // ---------------------------------------------------------------------------
 
 void expect_kernels_agree(const Dfa& dfa, std::span<const Symbol> chunk,
@@ -125,14 +124,12 @@ void expect_kernels_agree(const Dfa& dfa, std::span<const Symbol> chunk,
   const DetChunkResult reference =
       run_chunk_det(dfa, chunk, starts,
                     {.convergence = convergence, .kernel = DetKernel::kReference});
-  for (const DetKernel kernel : {DetKernel::kFused, DetKernel::kSimd}) {
-    const DetChunkResult candidate =
-        run_chunk_det(dfa, chunk, starts, {.convergence = convergence, .kernel = kernel});
-    SCOPED_TRACE(kernel_name(kernel));
-    EXPECT_EQ(candidate.lambda, reference.lambda);
-    EXPECT_EQ(candidate.transitions, reference.transitions);
-    if (convergence) EXPECT_EQ(candidate.distinct_ends, reference.distinct_ends);
-  }
+  const DetChunkResult candidate =
+      run_chunk_det(dfa, chunk, starts,
+                    {.convergence = convergence, .kernel = DetKernel::kFused});
+  EXPECT_EQ(candidate.lambda, reference.lambda);
+  EXPECT_EQ(candidate.transitions, reference.transitions);
+  if (convergence) EXPECT_EQ(candidate.distinct_ends, reference.distinct_ends);
 }
 
 // Random chunk that may contain invalid symbols (kUnmapped and >= k) so the

@@ -122,7 +122,7 @@ TEST(ChunkStarts, FindOverReducedStartsEqualsSerial) {
     for (const std::size_t chunks : {2u, 5u, 16u}) {
       for (const bool convergence : {false, true}) {
         for (const DetKernel kernel :
-             {DetKernel::kFused, DetKernel::kReference, DetKernel::kSimd}) {
+             {DetKernel::kFused, DetKernel::kReference}) {
           const QueryOptions options{
               .chunks = chunks, .convergence = convergence, .kernel = kernel};
           const QueryResult found = find_matches(dfa, c.input, pool, options);
@@ -178,7 +178,7 @@ TEST(ChunkStarts, PermutingSearcherRunsTheMultiStartKernels) {
       bound += (spans[i].length + kFirstLookback) * num_states;
     for (const bool convergence : {false, true}) {
       for (const DetKernel kernel :
-           {DetKernel::kFused, DetKernel::kReference, DetKernel::kSimd}) {
+           {DetKernel::kFused, DetKernel::kReference}) {
         const QueryOptions options{
             .chunks = chunks, .convergence = convergence, .kernel = kernel};
         const QueryResult found = find_matches(dfa, input, pool, options);

@@ -307,7 +307,7 @@ TEST_P(EngineEquivalence, StreamAnySegmentationMatchesOneShot) {
       if (device == nullptr) continue;  // SFA exploded
       for (const bool convergence : {false, true}) {
         for (const DetKernel kernel :
-             {DetKernel::kFused, DetKernel::kReference, DetKernel::kSimd}) {
+             {DetKernel::kFused, DetKernel::kReference}) {
           if (convergence && !device->capabilities().convergence) continue;
           if (kernel != DetKernel::kFused && !device->capabilities().kernel_select)
             continue;

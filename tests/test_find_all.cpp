@@ -9,6 +9,7 @@
 //  * concurrent read-only callers on one shared Engine / PatternSet.
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -127,7 +128,7 @@ TEST_P(FindAllEquivalence, ParallelEqualsSerialOracleEverywhere) {
     for (const std::size_t chunks : {1u, 2u, 7u, 64u}) {
       for (const bool convergence : {false, true}) {
         for (const DetKernel kernel :
-             {DetKernel::kFused, DetKernel::kReference, DetKernel::kSimd}) {
+             {DetKernel::kFused, DetKernel::kReference}) {
           const QueryResult result =
               engine.find(text, {.variant = variant,
                                  .chunks = chunks,
@@ -166,7 +167,7 @@ TEST(FindAll, WorkloadTextMatchesNaiveSubstringSearch) {
   for (const std::size_t chunks : {16u, 64u}) {
     for (const bool convergence : {false, true}) {
       for (const DetKernel kernel :
-           {DetKernel::kFused, DetKernel::kReference, DetKernel::kSimd}) {
+           {DetKernel::kFused, DetKernel::kReference}) {
         EXPECT_EQ(engine.find_all(text, {.chunks = chunks,
                                          .convergence = convergence,
                                          .kernel = kernel}),
@@ -323,12 +324,12 @@ TEST(ConcurrentQueries, MixedOptionsStressOnSharedEngineAndSet) {
   for (int t = 0; t < 6; ++t) {
     threads.emplace_back([&, t] {
       static constexpr DetKernel kKernels[] = {
-          DetKernel::kFused, DetKernel::kReference, DetKernel::kSimd};
+          DetKernel::kFused, DetKernel::kReference};
       for (int i = 0; i < 15; ++i) {
         const QueryOptions options{
             .chunks = static_cast<std::size_t>(1 + (t + i) % 16),
             .convergence = (t + i) % 2 == 0,
-            .kernel = kKernels[(t + i) % 3]};
+            .kernel = kKernels[(t + i / 2) % std::size(kKernels)]};
         if (engine.find_all(text, options) != engine_expected) ++failures;
         if (set.find_all(text, options) != set_expected) ++failures;
       }

@@ -27,8 +27,7 @@ namespace rispar {
 namespace {
 
 constexpr std::size_t kChunks[] = {1, 2, 3, 8, 16, 33};
-constexpr DetKernel kKernels[] = {DetKernel::kFused, DetKernel::kSimd,
-                                  DetKernel::kReference};
+constexpr DetKernel kKernels[] = {DetKernel::kFused, DetKernel::kReference};
 constexpr std::uint32_t kPatternId = 7;
 
 std::string random_text(std::size_t length, const std::string& alphabet,

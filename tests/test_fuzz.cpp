@@ -226,8 +226,7 @@ TEST(DifferentialFuzz, StreamingFindEqualsOneShotAndSerialOracles) {
   static constexpr std::size_t kChunks[] = {1, 2, 7, 64};
   static constexpr Variant kVariants[] = {Variant::kDfa, Variant::kNfa,
                                           Variant::kRid, Variant::kSfa};
-  static constexpr DetKernel kKernels[] = {DetKernel::kFused, DetKernel::kReference,
-                                           DetKernel::kSimd};
+  static constexpr DetKernel kKernels[] = {DetKernel::kFused, DetKernel::kReference};
 
   for (std::size_t iter = 0; iter < iters; ++iter) {
     RandomRegexConfig config;
@@ -331,8 +330,7 @@ TEST(ExactBeginFuzz, ExactBeginsEqualAcrossAllPathsAndOracles) {
   static constexpr std::size_t kChunks[] = {1, 2, 7, 64};
   static constexpr Variant kVariants[] = {Variant::kDfa, Variant::kNfa,
                                           Variant::kRid, Variant::kSfa};
-  static constexpr DetKernel kKernels[] = {DetKernel::kFused, DetKernel::kReference,
-                                           DetKernel::kSimd};
+  static constexpr DetKernel kKernels[] = {DetKernel::kFused, DetKernel::kReference};
 
   for (std::size_t iter = 0; iter < iters; ++iter) {
     RandomRegexConfig config;

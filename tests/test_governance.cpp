@@ -37,7 +37,7 @@ constexpr Variant kVariants[] = {Variant::kDfa, Variant::kNfa, Variant::kRid,
 /// and reject a non-default --kernel, so their row is just kFused).
 std::vector<DetKernel> kernels_for(const Engine& engine, Variant variant) {
   if (engine.device(variant).capabilities().kernel_select)
-    return {DetKernel::kFused, DetKernel::kSimd, DetKernel::kReference};
+    return {DetKernel::kFused, DetKernel::kReference};
   return {DetKernel::kFused};
 }
 
@@ -318,7 +318,7 @@ TEST(Governance, GovernedFindEqualsUngoverned) {
     text.push_back("ab x"[prng.pick_index(4)]);
 
   for (const DetKernel kernel :
-       {DetKernel::kFused, DetKernel::kSimd, DetKernel::kReference}) {
+       {DetKernel::kFused, DetKernel::kReference}) {
     const QueryOptions plain{.chunks = 7, .kernel = kernel};
     const QueryOptions governed = never_trips(plain, live);
     const QueryResult expected = engine.find(text, plain);

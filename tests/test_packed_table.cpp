@@ -18,6 +18,19 @@ TEST(PackedTable, WidthSelection) {
   EXPECT_EQ(medium.packed().width(), TableWidth::kU16);
 }
 
+TEST(PackedTable, CarriesFormatSlack) {
+  // build() appends the sentinel slack of the .rpb packed-section layout
+  // after the last column (adopt() maps a section's bytes, slack included).
+  const std::vector<State> rows{0, 1, 1, kDeadState};  // 2 states × 2 symbols
+  const PackedTable table = PackedTable::build(rows, 2, 2);
+  ASSERT_EQ(table.width(), TableWidth::kU8);
+  EXPECT_EQ(table.total_entries(), 4 + kPackedSlackEntries);
+  const std::uint8_t* data = table.data<std::uint8_t>();
+  EXPECT_EQ(data[3], PackedDead<std::uint8_t>::value);  // packed [s=1][a=1]
+  for (std::size_t pad = 0; pad < kPackedSlackEntries; ++pad)
+    EXPECT_EQ(data[4 + pad], PackedDead<std::uint8_t>::value);
+}
+
 TEST(PackedTable, SymbolMajorLayoutMatchesStep) {
   const Dfa dfa = testing::fig2_dfa();
   const PackedTable& packed = dfa.packed();

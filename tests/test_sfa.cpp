@@ -117,10 +117,10 @@ TEST_P(SfaAgreement, MatchesSerialOracleOnRandomMachines) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SfaAgreement, ::testing::Range<std::uint64_t>(0, 15));
 
 TEST(Sfa, PackedDeltaMatchesStepLoop) {
-  // The SFA's own δ is width-packed at build time (the satellite of the
-  // SIMD PR): packed() must hold the symbol-major copy of the step table,
-  // run() must walk it to the same arrival state and transition count as a
-  // naive step() loop, and the width must follow the state count.
+  // The SFA's own δ is width-packed at build time: packed() must hold the
+  // symbol-major copy of the step table, run() must walk it to the same
+  // arrival state and transition count as a naive step() loop, and the
+  // width must follow the state count.
   Prng prng(77);
   for (int trial = 0; trial < 8; ++trial) {
     RandomNfaConfig config;

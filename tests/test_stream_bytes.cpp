@@ -35,14 +35,13 @@
 namespace rispar {
 namespace {
 
-constexpr DetKernel kKernels[] = {DetKernel::kFused, DetKernel::kSimd,
-                                  DetKernel::kReference};
+constexpr DetKernel kKernels[] = {DetKernel::kFused, DetKernel::kReference};
 constexpr std::size_t kChunks[] = {1, 3, 8};
 constexpr BeginMode kModes[] = {BeginMode::kSeparator, BeginMode::kExact};
 
 /// Sound separators ("ab", "a[bc]*d" — long matches that cross windows,
-/// "(ab|cab)[abcd]{3}d" — a searcher with enough states for the SIMD
-/// gather) next to the separators-unsound hazard pattern "a|ba".
+/// "(ab|cab)[abcd]{3}d" — a searcher with enough states for a multi-lane
+/// lockstep) next to the separators-unsound hazard pattern "a|ba".
 const std::vector<std::string_view> kRegexes = {"ab", "a[bc]*d", "(ab|cab)[abcd]{3}d",
                                                 "a|ba"};
 

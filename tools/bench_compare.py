@@ -2,16 +2,20 @@
 """Compare two google-benchmark JSON files and fail on throughput regressions.
 
 Usage: bench_compare.py BASELINE.json CURRENT.json [--threshold 0.15]
-                        [--series fused,simd]
+                        [--series fused]
 
 The guarded series are the production kernels (benchmark labels containing
-"fused" or "simd" by default); the reference/oracle series are informational
-only, so a slow oracle never blocks a PR. Benchmarks are matched by
-name+label; entries present on only one side are reported and skipped (new
-benchmarks have no baseline yet, retired ones no longer matter) — but when
-the baseline holds guarded series and not one of them matches, the gate
-compared nothing and exits 1 instead of passing vacuously. The metric
-is bytes_per_second when both sides report it, else 1/real_time. Entries
+"fused" by default); the reference/oracle series are informational only, so
+a slow oracle never blocks a PR. A file run with --benchmark_repetitions
+contributes only its "median" aggregates (mean, stddev and cv are ignored);
+a single-run file contributes its runs. Benchmarks are matched by run name
+(the name without an aggregate suffix) + label, so a median compares with
+a single-run baseline of the same row; entries present on only one side are
+reported and skipped (new benchmarks have no baseline yet, retired ones no
+longer matter) — but when the baseline holds guarded series and not one of
+them matches, the gate compared nothing and exits 1 instead of passing
+vacuously. The metric is bytes_per_second when both sides report it, else
+1/real_time. Entries
 that carry one of the LOWER_IS_BETTER side metrics — "p99_ms" tail latency
 (the rispard serving sweep) or the "load_ms"/"reload_ms" bundle timings (the
 BENCH_bundle_load cold-start sweep) — are additionally gated on each, with
@@ -44,9 +48,19 @@ def load(path):
 
 
 def series_key(entry):
-    # name already encodes the Args; the label carries the human series tag
-    # (e.g. "independent/simd"), which distinguishes relabeled runs.
-    return (entry.get("name", ""), entry.get("label", ""))
+    # run_name already encodes the Args (name adds "_median" to an
+    # aggregate); the label carries the human series tag (e.g.
+    # "independent/fused"), which distinguishes relabeled runs.
+    return (entry.get("run_name", entry.get("name", "")), entry.get("label", ""))
+
+
+def entries(results):
+    """The entries a file is compared by: its medians when it has
+    aggregates, else its single runs."""
+    runs = results.get("benchmarks", [])
+    if any("aggregate_name" in entry for entry in runs):
+        return [entry for entry in runs if entry.get("aggregate_name") == "median"]
+    return runs
 
 
 def metric(entry):
@@ -70,9 +84,9 @@ def main():
     parser.add_argument("--threshold", type=float, default=0.15,
                         help="maximum allowed fractional throughput drop "
                              "in a guarded series (default 0.15)")
-    parser.add_argument("--series", default="fused,simd",
+    parser.add_argument("--series", default="fused",
                         help="comma-separated substrings of guarded series "
-                             "labels (default: fused,simd)")
+                             "labels (default: fused)")
     args = parser.parse_args()
     tags = [tag.strip().lower() for tag in args.series.split(",") if tag.strip()]
 
@@ -87,8 +101,8 @@ def main():
               f"{current}", file=sys.stderr)
         return 2
 
-    old = {series_key(e): e for e in baseline.get("benchmarks", [])}
-    new = {series_key(e): e for e in current.get("benchmarks", [])}
+    old = {series_key(e): e for e in entries(baseline)}
+    new = {series_key(e): e for e in entries(current)}
 
     regressions = []
     compared = 0

@@ -12,8 +12,8 @@
 // and restores every pattern (all checksums and structural checks run);
 // --deep additionally recompiles each regex-sourced pattern from scratch
 // and requires the mapped machines to be BIT-IDENTICAL through
-// Pattern::serialize(). CI uses build+verify to prove a bundle built on
-// the native leg loads on the portable one (docs/rispard.md).
+// Pattern::serialize(). CI runs build + verify --deep on the five-workload
+// corpus.
 #include <cstdio>
 #include <cstring>
 #include <fstream>

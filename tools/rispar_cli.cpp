@@ -42,16 +42,16 @@ const char* const kUsage =
     "  rispar compile <pattern>\n"
     "  rispar match <pattern> <file|-> [--variant dfa|nfa|rid|sfa|all]\n"
     "               [--chunks N] [--threads N] [--convergence]\n"
-    "               [--kernel fused|simd|reference] [--timeout-ms N]\n"
+    "               [--kernel fused|reference] [--timeout-ms N]\n"
     "  rispar count <pattern> <file|-> [--chunks N] [--convergence]\n"
     "               [--timeout-ms N]\n"
     "  rispar find <pattern> <file|-> [--positions] [--chunks N] [--threads N]\n"
-    "              [--convergence] [--kernel fused|simd|reference]\n"
+    "              [--convergence] [--kernel fused|reference]\n"
     "              [--offset N] [--limit N] [--timeout-ms N] [--exact-begins]\n"
     "  rispar find --patterns <patterns-file> <file|-> [same flags]\n"
     "  rispar find <pattern|--patterns FILE> <file|-> --stream\n"
     "              [--window BYTES] [--positions] [--chunks N] [--threads N]\n"
-    "              [--convergence] [--kernel fused|simd|reference]\n"
+    "              [--convergence] [--kernel fused|reference]\n"
     "              [--timeout-ms N] [--exact-begins]\n"
     "  rispar export <pattern> [--machine nfa|dfa|ridfa] [--format native|timbuk]\n"
     "  rispar gen <benchmark> <bytes> [--seed N]\n"
@@ -76,11 +76,8 @@ const char* const kUsage =
     "--kernel picks the step of the one deterministic chunk core: every\n"
     "chunk with one start runs a serial scan, and a lockstep over several\n"
     "starts hands its last live run to that scan. 'fused' (default) steps\n"
-    "the lockstep through the width-packed tables, 'simd' advances all live\n"
-    "runs per symbol through vector gathers from 8 starts on (AVX2 when the\n"
-    "CPU has it, a portable unrolled loop otherwise — detected at runtime,\n"
-    "so 'simd' works on any machine), and 'reference' runs the seed oracle\n"
-    "implementation. All three return identical results; variants\n"
+    "the lockstep through the width-packed tables, and 'reference' runs the\n"
+    "seed oracle implementation. Both return identical results; variants\n"
     "that run no deterministic kernel (nfa, sfa) reject a non-default\n"
     "choice. count runs the default (fused) finding kernel and takes no\n"
     "--kernel.\n"
@@ -141,18 +138,15 @@ std::chrono::nanoseconds parse_timeout_flag(int argc, char** argv) {
 }
 
 /// Parses --kernel (default: fused). Returns false after printing the
-/// error when the value is unknown. 'simd' is always accepted — hardware
-/// without AVX2 runs the portable fallback, picked at runtime.
+/// error when the value is unknown.
 bool parse_kernel_flag(int argc, char** argv, DetKernel& kernel) {
   const std::string value = flag_value(argc, argv, "--kernel", "fused");
   if (value == "fused") {
     kernel = DetKernel::kFused;
-  } else if (value == "simd") {
-    kernel = DetKernel::kSimd;
   } else if (value == "reference") {
     kernel = DetKernel::kReference;
   } else {
-    std::fprintf(stderr, "rispar: unknown kernel '%s' (fused|simd|reference)\n",
+    std::fprintf(stderr, "rispar: unknown kernel '%s' (fused|reference)\n",
                  value.c_str());
     return false;
   }
